@@ -36,7 +36,7 @@ def collect():
         base = run_pair(name, "conv32")
         speeds["table2"].append(run_pair(name, "ubs").speedup_over(base))
         wl = get_workload(name)
-        trace = cache.trace_for(wl)
+        trace = cache.array_trace_for(wl)
         machine = Machine(trace, UBSICache(UBSParams(way_sizes=designed)))
         result = machine.run(*wl.windows())
         speeds["designed"].append(result.ipc / base.ipc)

@@ -11,6 +11,7 @@ Usage: python examples/quickstart.py [workload_name]
 import sys
 
 from repro import Machine, build_icache, get_workload
+from repro.trace import as_array_trace
 
 
 def main() -> None:
@@ -19,8 +20,10 @@ def main() -> None:
     print(f"workload: {name} ({workload.family} family, "
           f"ISA={workload.spec.isa})")
 
-    # Generate the trace once and reuse it across configurations.
-    trace = workload.generate()
+    # Generate the trace once and reuse it across configurations: in the
+    # columnar form the simulator runs on, every machine also shares
+    # one branch-predictor walk over it.
+    trace = as_array_trace(workload.generate())
     warmup, measure = workload.windows()
     print(f"trace: {len(trace)} instructions "
           f"({warmup} warm-up + {measure} measured)\n")

@@ -104,23 +104,22 @@ def simulate(workload: Union[str, Workload], config: str = "conv32", *,
     """
     if isinstance(workload, str):
         workload = get_workload(workload)
+    from .cpu.machine import split_machine_config
     from .trace.workloads import SMTWorkload
 
+    base, override = split_machine_config(config)
+    if params is None:
+        params = override
+    elif override is not None:
+        raise ConfigurationError(
+            f"configuration {config!r} carries a machine-level suffix; "
+            "pass either the suffix or explicit params, not both"
+        )
     if isinstance(workload, SMTWorkload):
         # Co-run pairs have no single merged trace: each component
         # becomes one hardware thread of a shared-front-end SMTMachine.
-        from .cpu.machine import split_machine_config
         from .smt import SMTMachine
 
-        base, override = split_machine_config(config)
-        if params is None:
-            params = override
-        elif override is not None:
-            raise ConfigurationError(
-                f"configuration {config!r} carries a machine-level "
-                "suffix; pass either the suffix or explicit params, "
-                "not both"
-            )
         components = workload.component_workloads()
         machine = SMTMachine(
             [w.generate() for w in components], build_icache(base),
@@ -134,20 +133,9 @@ def simulate(workload: Union[str, Workload], config: str = "conv32", *,
             tdict["workload"] = comp.name
             tdict["config"] = config
         return result
-    trace = workload.generate()
     warmup, measure = workload.windows()
-    from .cpu.machine import split_machine_config
-
-    base, override = split_machine_config(config)
-    if params is None:
-        params = override
-    elif override is not None:
-        raise ConfigurationError(
-            f"configuration {config!r} carries a machine-level suffix; "
-            "pass either the suffix or explicit params, not both"
-        )
-    icache = build_icache(base)
-    machine = Machine(trace, icache, params, telemetry=telemetry)
+    machine = Machine(workload.generate(), build_icache(base), params,
+                      telemetry=telemetry)
     result = machine.run(warmup, measure, sample_efficiency=sample_efficiency)
     result.workload = workload.name
     result.config = config

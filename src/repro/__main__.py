@@ -17,7 +17,8 @@ import json
 import sys
 from typing import List, Optional
 
-from . import Machine, build_icache, get_workload
+from . import build_machine, get_workload
+from .errors import ReproError
 from .telemetry import (
     EventTrace,
     RUN_SUMMARY,
@@ -27,6 +28,7 @@ from .telemetry import (
     write_csv,
     write_jsonl,
 )
+from .trace.arrays import as_array_trace
 from .trace.workloads import all_families, workload_names
 
 
@@ -43,11 +45,13 @@ def _cmd_list(_args) -> int:
 
 def _run_one(workload_name: str, config: str, trace=None,
              telemetry: Optional[Telemetry] = None):
+    """Simulate one pair; returns (result, trace, machine). Passing the
+    returned columnar trace back in shares its BPU walk across configs."""
     workload = get_workload(workload_name)
     if trace is None:
-        trace = workload.generate()
+        trace = as_array_trace(workload.generate())
     warmup, measure = workload.windows()
-    machine = Machine(trace, build_icache(config), telemetry=telemetry)
+    machine = build_machine(trace, config, telemetry=telemetry)
     result = machine.run(warmup, measure)
     result.workload, result.config = workload_name, config
     return result, trace, machine
@@ -197,7 +201,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "report": _cmd_report,
         "models": _cmd_models,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

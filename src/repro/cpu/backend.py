@@ -15,17 +15,14 @@ from typing import List, Optional, Tuple
 
 from ..memory.hierarchy import MemoryHierarchy
 from ..params import CoreParams
-from ..trace.record import EXEC_LATENCY, Instruction, InstrKind
+from ..trace.record import EXEC_LATENCY, InstrKind
 
 try:  # pragma: no cover - exercised indirectly on hosts with numpy
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
 
-_LOAD = InstrKind.LOAD
-_STORE = InstrKind.STORE
-#: Plain-int kind codes for the columnar delivery path (column reads
-#: yield ints, not InstrKind members).
+#: Plain-int kind codes (column reads yield ints, not InstrKind members).
 _LOAD_I = int(InstrKind.LOAD)
 _STORE_I = int(InstrKind.STORE)
 
@@ -36,7 +33,7 @@ class Backend:
     __slots__ = ("params", "hierarchy", "_rob", "_ring", "_count",
                  "_reg_ready", "_last_commit", "_commits_this_cycle",
                  "loads", "stores", "_decode_latency", "_commit_width",
-                 "_exec_latency", "_data_access", "_ops", "_ops_trace",
+                 "_exec_latency", "_ops", "_ops_trace",
                  "_ops_offset", "_l1d_touch", "_l1d_latency",
                  "_data_load_miss", "_data_store_miss")
 
@@ -54,24 +51,22 @@ class Backend:
         self._commits_this_cycle = 0
         self.loads = 0
         self.stores = 0
-        # Hoisted per-accept constants; ``accept`` runs once per
-        # instruction and is one of the hottest calls in the simulator.
+        # Hoisted per-chunk constants.
         self._decode_latency = params.decode_latency
         self._commit_width = params.commit_width
         # EXEC_LATENCY as a tuple indexed by the InstrKind value.
         self._exec_latency = tuple(
             EXEC_LATENCY[kind] for kind in sorted(EXEC_LATENCY, key=int)
         )
-        self._data_access = hierarchy.data_access
-        # Inlined L1-D hit fast path for the columnar delivery loop: the
+        # Inlined L1-D hit fast path for the delivery loop: the
         # common case (load/store hitting the L1-D) resolves with one
         # bound call instead of going through data_access.
         self._l1d_touch = hierarchy.l1d.touch
         self._l1d_latency = hierarchy.params.l1d.latency
         self._data_load_miss = hierarchy.data_load_miss
         self._data_store_miss = hierarchy.data_store_miss
-        # Fused per-instruction op tuples for the columnar delivery path,
-        # lazily bound to one ArrayTrace (see bind_trace).
+        # Fused per-instruction op tuples for the delivery loop, lazily
+        # bound to one ArrayTrace (see bind_trace).
         self._ops: Optional[List[Tuple[int, int, int, int, int]]] = None
         self._ops_trace = None
         self._ops_offset = 0
@@ -149,149 +144,17 @@ class Backend:
             return 0
         return self._ring[self._count % self._rob] - self._decode_latency
 
-    def accept(self, instr: Instruction, fetch_cycle: int) -> Tuple[int, int]:
-        """Time one instruction; returns (complete_cycle, commit_cycle)."""
-        count = self._count
-        rob = self._rob
-        slot = count % rob
-        dispatch = fetch_cycle + self._decode_latency
-        ring = self._ring
-        if count >= rob:
-            slot_free = ring[slot]
-            if slot_free > dispatch:
-                dispatch = slot_free
-
-        ready = dispatch
-        reg_ready = self._reg_ready
-        src1 = instr.src1
-        if src1 >= 0 and reg_ready[src1 & 63] > ready:
-            ready = reg_ready[src1 & 63]
-        src2 = instr.src2
-        if src2 >= 0 and reg_ready[src2 & 63] > ready:
-            ready = reg_ready[src2 & 63]
-
-        kind = instr.kind
-        if kind is _LOAD:
-            self.loads += 1
-            latency = self._data_access(instr.mem_addr, ready)
-            complete = ready + latency
-        elif kind is _STORE:
-            self.stores += 1
-            # Stores retire via the store queue; the pipeline only waits
-            # for address/data readiness.
-            self._data_access(instr.mem_addr, ready, is_store=True)
-            complete = ready + 1
-        else:
-            complete = ready + self._exec_latency[kind]
-
-        dst = instr.dst
-        if dst >= 0:
-            reg_ready[dst & 63] = complete
-
-        last_commit = self._last_commit
-        if complete > last_commit:
-            commit = complete
-            self._commits_this_cycle = 1
-        else:
-            commit = last_commit
-            if self._commits_this_cycle >= self._commit_width:
-                commit += 1
-                self._commits_this_cycle = 1
-            else:
-                self._commits_this_cycle += 1
-        self._last_commit = commit
-
-        ring[slot] = commit
-        self._count = count + 1
-        return complete, commit
-
-    def accept_range(self, trace, base: int, n: int,
-                     fetch_cycle: int) -> Tuple[int, int]:
-        """Time ``n`` consecutive instructions ``trace[base:base + n]``
-        fetched at ``fetch_cycle``; returns the last instruction's
-        (complete_cycle, commit_cycle).
-
-        Semantically identical to ``n`` ``accept`` calls, but hoists the
-        scoreboard state into locals once per delivered chunk instead of
-        once per instruction — the machine's delivery loop is the hottest
-        call site in the simulator.
-        """
-        count = self._count
-        rob = self._rob
-        ring = self._ring
-        reg_ready = self._reg_ready
-        exec_latency = self._exec_latency
-        data_access = self._data_access
-        commit_width = self._commit_width
-        last_commit = self._last_commit
-        commits_this_cycle = self._commits_this_cycle
-        loads = self.loads
-        stores = self.stores
-        base_dispatch = fetch_cycle + self._decode_latency
-        complete = 0
-        commit = last_commit
-        for i in range(base, base + n):
-            instr = trace[i]
-            slot = count % rob
-            dispatch = base_dispatch
-            if count >= rob:
-                slot_free = ring[slot]
-                if slot_free > dispatch:
-                    dispatch = slot_free
-
-            ready = dispatch
-            src1 = instr.src1
-            if src1 >= 0 and reg_ready[src1 & 63] > ready:
-                ready = reg_ready[src1 & 63]
-            src2 = instr.src2
-            if src2 >= 0 and reg_ready[src2 & 63] > ready:
-                ready = reg_ready[src2 & 63]
-
-            kind = instr.kind
-            if kind is _LOAD:
-                loads += 1
-                complete = ready + data_access(instr.mem_addr, ready)
-            elif kind is _STORE:
-                stores += 1
-                data_access(instr.mem_addr, ready, is_store=True)
-                complete = ready + 1
-            else:
-                complete = ready + exec_latency[kind]
-
-            dst = instr.dst
-            if dst >= 0:
-                reg_ready[dst & 63] = complete
-
-            if complete > last_commit:
-                commit = complete
-                commits_this_cycle = 1
-            else:
-                commit = last_commit
-                if commits_this_cycle >= commit_width:
-                    commit += 1
-                    commits_this_cycle = 1
-                else:
-                    commits_this_cycle += 1
-            last_commit = commit
-            ring[slot] = commit
-            count += 1
-
-        self._count = count
-        self._last_commit = last_commit
-        self._commits_this_cycle = commits_this_cycle
-        self.loads = loads
-        self.stores = stores
-        return complete, commit
-
     def accept_range_arrays(self, trace, base: int, n: int,
                             fetch_cycle: int) -> Tuple[int, int]:
-        """:meth:`accept_range` for a columnar
-        :class:`~repro.trace.arrays.ArrayTrace`: consumes the fused op
-        tuples precomputed by :meth:`bind_trace`, so the delivery hot
-        path does one tuple unpack per instruction instead of five
-        column reads and kind dispatch, and never builds ``Instruction``
-        objects. Timing is identical to ``n`` ``accept`` calls on the
-        object view of the same trace."""
+        """Time ``n`` consecutive instructions ``trace[base:base + n]``
+        of a columnar :class:`~repro.trace.arrays.ArrayTrace`, fetched at
+        ``fetch_cycle``; returns the last instruction's
+        (complete_cycle, commit_cycle).
+
+        The scoreboard state lives in locals for the whole chunk and the
+        fused op tuples precomputed by :meth:`bind_trace` cost one tuple
+        unpack per instruction — the machine's delivery loop is the
+        hottest call site in the simulator."""
         if trace is not self._ops_trace:
             self.bind_trace(trace, self._ops_offset)
         ops = self._ops
@@ -335,6 +198,8 @@ class Backend:
                 else:
                     complete = ready + data_load_miss(mem, ready)
             else:
+                # Stores retire via the store queue; the pipeline only
+                # waits for address/data readiness.
                 stores += 1
                 if not l1d_touch(mem):
                     data_store_miss(mem, ready)

@@ -29,9 +29,10 @@ from typing import Deque, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..frontend.bpu import BranchPredictionUnit, Resteer
-from ..frontend.ftq import (FetchRange, FetchTargetQueue, RangeBuilder,
-                            ReplayRangeBuilder, precompute_range_stream,
-                            segment_range)
+# ``precompute_range_stream`` is re-exported: by-name patchers of the
+# range-stream walk (perfbench/layers.py) rebind it in this module too.
+from ..frontend.ftq import (FetchRange, FetchTargetQueue,  # noqa: F401
+                            precompute_range_stream, replay_range_stream)
 from ..memory.distillation import DistillationICache
 from ..memory.hierarchy import MemoryHierarchy
 from ..memory.icache import (InstructionCacheBase, ConventionalICache,
@@ -52,7 +53,7 @@ from ..telemetry import (
 )
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.profiler import ProfileReport
-from ..trace.arrays import ArrayTrace
+from ..trace.arrays import as_array_trace
 from ..trace.record import Instruction
 from ..core.configs import ubs_params_for_budget, way_config
 from ..core.predictor import PredictorConfig
@@ -76,55 +77,23 @@ _STALL_NAMES = {
 _FTQ_SAMPLE_MASK = 255
 
 
-class Machine:
-    """One simulated core with a configurable L1-I organisation."""
+class FrontEndBase:
+    """State and miss/fill plumbing shared by :class:`Machine` and
+    :class:`repro.smt.SMTMachine`: one L1-I with its MSHR file, fill
+    queue and memory hierarchy, plus the telemetry recorder.
 
-    def __init__(self, trace: Sequence[Instruction],
-                 icache: InstructionCacheBase,
-                 params: Optional[MachineParams] = None,
-                 telemetry: Optional[Telemetry] = None) -> None:
-        if not trace:
-            raise ConfigurationError("empty trace")
-        self.trace = trace
+    The miss helpers take the :class:`FrontEndStats` to charge and a
+    ``tag`` of extra event fields (``{}`` solo, ``{"thread": tid}`` for
+    an SMT hardware thread).
+    """
+
+    def __init__(self, icache: InstructionCacheBase,
+                 params: Optional[MachineParams],
+                 telemetry: Optional[Telemetry]) -> None:
         self.icache = icache
         self.params = params or MachineParams()
         self.hierarchy = MemoryHierarchy(self.params)
-        self.bpu = BranchPredictionUnit(self.params.branch)
-        if isinstance(trace, ArrayTrace):
-            # The range stream is a pure function of (trace, BPU params):
-            # precompute it once — off the measured clock — and replay it
-            # in run(). Streams and their per-cycle delivery chunks are
-            # cached on the trace, so machines simulating the same trace
-            # under different L1-I configurations share one BPU walk.
-            core_p = self.params.core
-            derived = trace.derived
-            skey = ("range_stream", self.params.branch)
-            stream = derived.get(skey)
-            if stream is None:
-                stream = precompute_range_stream(trace, self.bpu)
-                derived[skey] = stream
-            self.builder = ReplayRangeBuilder(stream, self.bpu)
-            ckey = ("range_segs", self.params.branch,
-                    core_p.fetch_bytes, core_p.fetch_width)
-            segs = derived.get(ckey)
-            if segs is None:
-                segs = [segment_range(fr, core_p.fetch_bytes,
-                                      core_p.fetch_width)
-                        for fr, _lookups, _mispredicts in stream]
-                derived[ckey] = segs
-            self._range_segs = segs
-        else:
-            self.builder = RangeBuilder(trace, self.bpu)
-            self._range_segs = None
-        self.ftq = FetchTargetQueue(self.params.core.ftq_entries)
         self.mshr = MSHRFile(icache.mshr_entries)
-        from .backend import Backend
-        self.backend = Backend(self.params.core, self.hierarchy)
-        if isinstance(trace, ArrayTrace):
-            # Precompute the fused delivery ops while still off the
-            # measured clock (perfgate times run(), not construction).
-            self.backend.bind_trace(trace)
-
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         recorder = self.telemetry.recorder
         # Hot paths test ``self._rec is not None`` — with the default null
@@ -133,21 +102,106 @@ class Machine:
         if self._rec is not None:
             icache.telemetry = recorder
             self.hierarchy.dram.telemetry = recorder
-
-        self._fills: List[Tuple[int, int]] = []     # (cycle, block_addr)
-        self._fdip_queue: Deque[FetchRange] = deque()
-        self._prefetcher = self.params.core.prefetcher
         # Hoisted per-cycle parameters (attribute chains cost in the loop).
         core = self.params.core
-        self._bpu_ranges_per_cycle = core.bpu_ranges_per_cycle
-        self._fdip_degree = core.fdip_degree
+        self._fills: List[Tuple[int, int]] = []     # (cycle, block_addr)
+        self._prefetcher = core.prefetcher
         self._fdip_on = self._prefetcher == "fdip"
-        self.stats = FrontEndStats()
+        self._fdip_degree = core.fdip_degree
+        self._bpu_ranges_per_cycle = core.bpu_ranges_per_cycle
         self.cycle = 0
+        self.wall_seconds = 0.0
+
+    def _process_fills(self, cycle: int) -> None:
+        fills = self._fills
+        if self._rec is not None and fills and fills[0][0] <= cycle:
+            # Let the cache stamp predictor train/install events with the
+            # fill cycle (fill() itself has no cycle argument).
+            self.icache.now = cycle
+        pop = heapq.heappop
+        fill = self.icache.fill
+        while fills and fills[0][0] <= cycle:
+            fill(pop(fills)[1])
+
+    def _handle_miss(self, block_addr: int, cycle: int,
+                     stats: FrontEndStats, tag: dict) -> int:
+        """Start or join the fill for ``block_addr``; returns its cycle."""
+        mshr = self.mshr
+        inflight = mshr.lookup(block_addr, cycle)
+        if inflight is not None:
+            return inflight
+        if mshr.full(cycle):
+            earliest = mshr.earliest_completion()
+            if earliest is None:  # pragma: no cover - defensive
+                raise SimulationError("MSHR full but empty")
+            return earliest
+        latency = self.hierarchy.fetch_block(block_addr, cycle)
+        fill_at = cycle + latency
+        mshr.allocate(block_addr, fill_at, cycle)
+        heapq.heappush(self._fills, (fill_at, block_addr))
+        if self._rec is not None:
+            self._rec.emit(EV_MSHR, cycle, block=block_addr, fill=fill_at,
+                           source="demand", **tag)
+        if self._prefetcher == "nextline":
+            self._issue_next_lines(block_addr, cycle, stats, tag)
+        return fill_at
+
+    def _issue_next_lines(self, block_addr: int, cycle: int,
+                          stats: FrontEndStats, tag: dict) -> None:
+        """Sequential prefetch of the blocks following a demand miss."""
+        mshr = self.mshr
+        for i in range(1, self.params.core.nextline_degree + 1):
+            addr = block_addr + i * 64
+            if mshr.full(cycle):
+                return
+            if self.icache.probe_range(addr, 1) \
+                    or mshr.lookup(addr, cycle) is not None:
+                continue
+            latency = self.hierarchy.fetch_block(addr, cycle)
+            fill_at = cycle + latency
+            mshr.allocate(addr, fill_at, cycle)
+            heapq.heappush(self._fills, (fill_at, addr))
+            stats.prefetches_issued += 1
+            if self._rec is not None:
+                self._rec.emit(EV_MSHR, cycle, block=addr, fill=fill_at,
+                               source="nextline", **tag)
+
+
+class Machine(FrontEndBase):
+    """One simulated core with a configurable L1-I organisation.
+
+    Any instruction sequence is accepted and converted once to the
+    columnar :class:`~repro.trace.arrays.ArrayTrace` the simulator runs
+    on (an ``ArrayTrace`` input is used as is).
+    """
+
+    def __init__(self, trace: Sequence[Instruction],
+                 icache: InstructionCacheBase,
+                 params: Optional[MachineParams] = None,
+                 telemetry: Optional[Telemetry] = None) -> None:
+        if not trace:
+            raise ConfigurationError("empty trace")
+        super().__init__(icache, params, telemetry)
+        trace = as_array_trace(trace)
+        self.trace = trace
+        core = self.params.core
+        self.bpu = BranchPredictionUnit(self.params.branch)
+        # Replay the precomputed range stream (shared through the trace's
+        # derived cache) in run().
+        self.builder, self._range_segs = replay_range_stream(
+            trace, self.bpu, core.fetch_bytes, core.fetch_width)
+        self.ftq = FetchTargetQueue(core.ftq_entries)
+        from .backend import Backend
+        self.backend = Backend(core, self.hierarchy)
+        # Precompute the fused delivery ops while still off the measured
+        # clock (perfgate times run(), not construction).
+        self.backend.bind_trace(trace)
+
+        self._fdip_queue: Deque[FetchRange] = deque()
+        self.stats = FrontEndStats()
         self.delivered = 0
         self._last_commit = 0
         self._stall_pc = 0
-        self.wall_seconds = 0.0
 
         self.metrics = MetricsRegistry()
         self._register_metrics()
@@ -185,17 +239,6 @@ class Machine:
         return prof.report(cycles=self.cycle, instructions=self.delivered)
 
     # -- per-cycle stages ---------------------------------------------------------
-
-    def _process_fills(self, cycle: int) -> None:
-        fills = self._fills
-        if self._rec is not None and fills and fills[0][0] <= cycle:
-            # Let the cache stamp predictor train/install events with the
-            # fill cycle (fill() itself has no cycle argument).
-            self.icache.now = cycle
-        pop = heapq.heappop
-        fill = self.icache.fill
-        while fills and fills[0][0] <= cycle:
-            fill(pop(fills)[1])
 
     def _make_run_bpu(self):
         """Build the per-cycle BPU stage as a closure: every otherwise
@@ -297,15 +340,7 @@ class Machine:
         run_fdip = self._make_run_fdip()
         maybe_skip = self._maybe_skip
         lookup = icache.lookup
-        # Columnar traces deliver through the array-reading back-end entry
-        # point (no Instruction objects on the hot path); both paths are
-        # bit-identical (tests/test_golden_parity.py).
-        if isinstance(self.trace, ArrayTrace):
-            accept = self.backend.accept_range_arrays
-            pc_col = self.trace.pc
-        else:
-            accept = self.backend.accept_range
-            pc_col = None
+        accept = self.backend.accept_range_arrays
         if prof is not None:
             process_fills = prof.wrap("fills", process_fills)
             run_bpu = prof.wrap("bpu", run_bpu)
@@ -340,11 +375,9 @@ class Machine:
         # frame instead of through attribute chains. ``self.cycle`` is
         # synced back around dispatched helpers (which tests may patch) and
         # at loop exit, together with ``self.delivered``/``self._last_commit``.
-        core = self.params.core
-        fetch_bytes = core.fetch_bytes
-        fetch_width = core.fetch_width
-        btb_penalty = core.btb_resteer_penalty
+        btb_penalty = self.params.core.btb_resteer_penalty
         trace = self.trace
+        pc_col = trace.pc
         fills = self._fills
         fdip_queue = self._fdip_queue
         ftq_q = self.ftq._queue
@@ -420,13 +453,10 @@ class Machine:
                 n_ends = len(cur.instr_ends)
                 delivered_in_range = 0
                 # Per-cycle delivery chunks: ranges pop in emission
-                # order, so the precomputed columnar stream aligns by
-                # sequence number; object traces segment at pop time.
-                if range_segs is not None:
-                    cur_segs = range_segs[range_seq]
-                    range_seq += 1
-                else:
-                    cur_segs = segment_range(cur, fetch_bytes, fetch_width)
+                # order, so the precomputed stream aligns by sequence
+                # number.
+                cur_segs = range_segs[range_seq]
+                range_seq += 1
                 seg_idx = 0
 
             # Inlined backend.rob_has_space(cycle).
@@ -451,7 +481,8 @@ class Machine:
                 if rec is not None:
                     rec.emit(EV_L1I, cycle, result=result.kind.name,
                              pc=cur_byte, nbytes=chunk_end - cur_byte)
-                blocked_until = self._handle_miss(result.block_addr, cycle)
+                blocked_until = self._handle_miss(result.block_addr, cycle,
+                                                  stats, {})
                 blocked_kind = _STALL_MISS
                 # Inlined _account_stall(_STALL_MISS, 1, measuring).
                 if measuring:
@@ -516,10 +547,7 @@ class Machine:
                     blocked_until = resume
                     blocked_kind = _STALL_RESTEER
                     # Attribute the resteer stall to the causing branch.
-                    if pc_col is not None:
-                        self._stall_pc = pc_col[cur.first_index + n_ends - 1]
-                    else:
-                        self._stall_pc = trace[cur.first_index + n_ends - 1].pc
+                    self._stall_pc = pc_col[cur.first_index + n_ends - 1]
                 cur = None
 
             if measuring and sample_efficiency and cycle >= next_sample:
@@ -537,47 +565,6 @@ class Machine:
                             sampler if sample_efficiency else None)
 
     # -- helpers -----------------------------------------------------------------------
-
-    def _handle_miss(self, block_addr: int, cycle: int) -> int:
-        """Start or join the fill for ``block_addr``; returns its cycle."""
-        mshr = self.mshr
-        inflight = mshr.lookup(block_addr, cycle)
-        if inflight is not None:
-            return inflight
-        if mshr.full(cycle):
-            earliest = mshr.earliest_completion()
-            if earliest is None:  # pragma: no cover - defensive
-                raise SimulationError("MSHR full but empty")
-            return earliest
-        latency = self.hierarchy.fetch_block(block_addr, cycle)
-        fill_at = cycle + latency
-        mshr.allocate(block_addr, fill_at, cycle)
-        heapq.heappush(self._fills, (fill_at, block_addr))
-        if self._rec is not None:
-            self._rec.emit(EV_MSHR, cycle, block=block_addr, fill=fill_at,
-                           source="demand")
-        if self._prefetcher == "nextline":
-            self._issue_next_lines(block_addr, cycle)
-        return fill_at
-
-    def _issue_next_lines(self, block_addr: int, cycle: int) -> None:
-        """Sequential prefetch of the blocks following a demand miss."""
-        mshr = self.mshr
-        for i in range(1, self.params.core.nextline_degree + 1):
-            addr = block_addr + i * 64
-            if mshr.full(cycle):
-                return
-            if self.icache.probe_range(addr, 1) \
-                    or mshr.lookup(addr, cycle) is not None:
-                continue
-            latency = self.hierarchy.fetch_block(addr, cycle)
-            fill_at = cycle + latency
-            mshr.allocate(addr, fill_at, cycle)
-            heapq.heappush(self._fills, (fill_at, addr))
-            self.stats.prefetches_issued += 1
-            if self._rec is not None:
-                self._rec.emit(EV_MSHR, cycle, block=addr, fill=fill_at,
-                               source="nextline")
 
     def _account_stall(self, kind: int, cycles: int, measuring: bool) -> None:
         if not measuring or not cycles:
@@ -665,6 +652,16 @@ class Machine:
         )
 
 
+def _config_int(config: str, field: str) -> int:
+    """The numeric ``field`` of configuration name ``config``."""
+    try:
+        return int(field)
+    except ValueError:
+        raise ConfigurationError(
+            f"malformed number {field!r} in L1-I configuration {config!r}"
+        ) from None
+
+
 def build_icache(config: str) -> InstructionCacheBase:
     """Build an L1-I from a configuration name.
 
@@ -690,21 +687,21 @@ def build_icache(config: str) -> InstructionCacheBase:
         for suffix in ("_ghrp", "_acic", "_srrip", "_drrip", "_fifo",
                        "_random"):
             if rest.endswith(suffix):
-                size_kb = int(rest[:-len(suffix)])
+                size_kb = _config_int(config, rest[:-len(suffix)])
                 return ConventionalICache(
                     conventional_l1i(size_kb * 1024,
                                      replacement=suffix[1:]))
-        size_kb = int(rest)
+        size_kb = _config_int(config, rest)
         ways = 12 if size_kb == 192 else 8
         return ConventionalICache(conventional_l1i(size_kb * 1024, ways=ways))
     if config == "distill32":
         return DistillationICache()
     if config.startswith("small"):
-        return SmallBlockICache(block_size=int(config[5:]))
+        return SmallBlockICache(block_size=_config_int(config, config[5:]))
     if config == "ubs":
         return UBSICache()
     if config.startswith("ubs_budget"):
-        budget_kb = int(config[len("ubs_budget"):])
+        budget_kb = _config_int(config, config[len("ubs_budget"):])
         return UBSICache(ubs_params_for_budget(budget_kb * 1024))
     if config.startswith("ubs_pred_"):
         kind = config[len("ubs_pred_"):]
@@ -738,15 +735,21 @@ def build_icache(config: str) -> InstructionCacheBase:
         return UBSICache(UBSParams(way_sizes=sizes),
                          predictor_config=predictor)
     if config.startswith("ubs_ways"):
-        spec = config[len("ubs_ways"):]
-        n_ways, cfg = spec.split("c")
-        sizes = way_config(int(n_ways), int(cfg))
+        n_ways, sep, cfg = config[len("ubs_ways"):].partition("c")
+        if not sep:
+            raise ConfigurationError(
+                f"malformed way configuration in {config!r} "
+                "(expected e.g. ubs_ways4c1)")
+        sizes = way_config(_config_int(config, n_ways),
+                           _config_int(config, cfg))
         return UBSICache(UBSParams(way_sizes=sizes))
     if config.startswith("ubs_gap"):
-        return UBSICache(UBSParams(run_merge_gap=int(config[len("ubs_gap"):])))
+        return UBSICache(UBSParams(
+            run_merge_gap=_config_int(config, config[len("ubs_gap"):])))
     if config.startswith("ubs_win"):
         return UBSICache(
-            UBSParams(candidate_window=int(config[len("ubs_win"):])))
+            UBSParams(candidate_window=_config_int(
+                config, config[len("ubs_win"):])))
     if config == "ubs_ghrp":
         return UBSICache(UBSParams(replacement="ghrp"))
     if config == "ideal":

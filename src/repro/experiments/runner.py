@@ -26,7 +26,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..cpu.machine import Machine, build_icache, build_machine
+from ..cpu.machine import build_machine
 from ..memory.icache import ConventionalICache
 from ..stats.counters import SimResult
 from ..trace.arrays import ArrayTrace
@@ -247,10 +247,7 @@ class ResultCache:
         path = self._trace_path(workload.name)
         if path.exists():
             try:
-                trace = read_trace(path)
-                if isinstance(trace, ArrayTrace):
-                    return trace
-                return ArrayTrace.from_instructions(trace)
+                return read_trace(path)
             except Exception:
                 path.unlink(missing_ok=True)
         trace = ArrayTrace.from_instructions(workload.generate())
@@ -269,10 +266,6 @@ class ResultCache:
             raise
         return trace
 
-    def trace_for(self, workload: Workload) -> List[Instruction]:
-        """Object-list view of :meth:`array_trace_for` (compatibility)."""
-        return self.array_trace_for(workload).to_instructions()
-
 
 _default_cache = None
 
@@ -282,6 +275,16 @@ def default_cache() -> ResultCache:
     if _default_cache is None:
         _default_cache = ResultCache()
     return _default_cache
+
+
+def _stamp_throughput(result: SimResult, wall: float) -> None:
+    """Record how fast the run simulated (the host-performance baseline
+    every benchmark JSON carries)."""
+    result.extra["sim_wall_seconds"] = round(wall, 6)
+    if wall > 0:
+        result.extra["sim_cycles_per_sec"] = round(result.cycles / wall)
+        result.extra["sim_instrs_per_sec"] = round(
+            result.instructions / wall)
 
 
 def _simulate_smt(workload: SMTWorkload, config: str,
@@ -302,17 +305,12 @@ def _simulate_smt(workload: SMTWorkload, config: str,
         thread.name = comp.name
     t0 = perf_counter()
     result = machine.run(windows)
-    wall = perf_counter() - t0
+    _stamp_throughput(result, perf_counter() - t0)
     result.workload = workload.name
     result.config = config
     for comp, tdict in zip(components, result.extra["threads"]):
         tdict["workload"] = comp.name
         tdict["config"] = config
-    result.extra["sim_wall_seconds"] = round(wall, 6)
-    if wall > 0:
-        result.extra["sim_cycles_per_sec"] = round(result.cycles / wall)
-        result.extra["sim_instrs_per_sec"] = round(
-            result.instructions / wall)
     return result
 
 
@@ -331,15 +329,9 @@ def _simulate(workload: Workload, config: str,
         icache.track_touch_distance = True
     t0 = perf_counter()
     result = machine.run(warmup, measure)
-    wall = perf_counter() - t0
+    _stamp_throughput(result, perf_counter() - t0)
     result.workload = workload.name
     result.config = config
-    # Simulator throughput for the host-performance baseline: every
-    # benchmark JSON records how fast this run simulated.
-    result.extra["sim_wall_seconds"] = round(wall, 6)
-    if wall > 0:
-        result.extra["sim_cycles_per_sec"] = round(result.cycles / wall)
-        result.extra["sim_instrs_per_sec"] = round(measure / wall)
     if analysis:
         # End-of-run flush so low-MPKI workloads (whose blocks are never
         # evicted) still contribute lifetime byte-usage counts.

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..trace.arrays import ArrayTrace
-from ..trace.record import IS_BRANCH, Instruction
+from ..trace.record import IS_BRANCH
 from .bpu import BranchPredictionUnit, Resteer
 
 _RESTEER_NONE = Resteer.NONE
@@ -58,12 +58,13 @@ class FetchRange:
 
 
 class RangeBuilder:
-    """Advances the BPU over the trace, emitting fetch ranges."""
+    """Advances the BPU over a columnar trace, emitting fetch ranges
+    (reading the columns directly; no Instruction objects)."""
 
     __slots__ = ("trace", "bpu", "index", "_next_byte", "blocked",
-                 "_n_trace", "_bpu_process", "_bpu_process_raw", "_cols")
+                 "_n_trace", "_bpu_process_raw", "_cols")
 
-    def __init__(self, trace: Sequence[Instruction],
+    def __init__(self, trace: ArrayTrace,
                  bpu: BranchPredictionUnit) -> None:
         self.trace = trace
         self.bpu = bpu
@@ -71,19 +72,9 @@ class RangeBuilder:
         self._next_byte: Optional[int] = None  # continuation byte, if any
         self.blocked = False           # stopped behind a resteer
         self._n_trace = len(trace)
-        self._bpu_process = bpu.process
         self._bpu_process_raw = bpu.process_raw
-        # Columnar traces are walked through their flat columns so
-        # run-ahead never materialises Instruction objects; the derived
-        # ``end``/``boundary`` sidecar columns let the walk jump over
-        # whole straight-line runs (one binary search per segment)
-        # instead of visiting every instruction.
-        if isinstance(trace, ArrayTrace):
-            self._cols = (trace.pc, trace.size, trace.kind,
-                          trace.taken, trace.target,
-                          trace.end, trace.boundary)
-        else:
-            self._cols = None
+        self._cols = (trace.pc, trace.size, trace.kind, trace.taken,
+                      trace.target, trace.end, trace.boundary)
 
     @property
     def exhausted(self) -> bool:
@@ -94,60 +85,7 @@ class RangeBuilder:
         self.blocked = False
 
     def build_next(self) -> Optional[FetchRange]:
-        """Produce the next fetch range, or None when blocked/exhausted."""
-        if self.blocked or self.exhausted:
-            return None
-        if self._cols is not None:
-            return self._build_next_columnar()
-        trace = self.trace
-        n_trace = self._n_trace
-        idx = self.index
-        next_byte = self._next_byte
-        start = next_byte if next_byte is not None else trace[idx].pc
-        block_end = (start | 63) + 1
-
-        instr_ends: List[int] = []
-        append = instr_ends.append
-        is_branch = IS_BRANCH
-        process = self._bpu_process
-        end = start
-        resteer = _RESTEER_NONE
-        straddle = False
-
-        while idx < n_trace:
-            ins = trace[idx]
-            ins_end = ins.pc + ins.size
-            if ins_end > block_end:
-                # The instruction straddles the block boundary: it completes
-                # in the continuation range that starts at the boundary.
-                end = block_end
-                straddle = True
-                break
-            end = ins_end
-            append(ins_end)
-            idx += 1
-            if is_branch[ins.kind]:
-                resteer = process(ins)
-                if resteer:          # i.e. != Resteer.NONE
-                    self.blocked = True
-                    break
-                if ins.taken:
-                    break
-            if ins_end == block_end:
-                break
-
-        if end == start:
-            raise SimulationError("built an empty fetch range")
-        self.index = idx
-        self._next_byte = block_end if straddle else None
-        # Completed instructions are trace[idx - len(instr_ends) : idx] in
-        # both the normal and the boundary-straddling case.
-        return FetchRange(start, end - start, idx - len(instr_ends),
-                          tuple(instr_ends), resteer)
-
-    def _build_next_columnar(self) -> Optional[FetchRange]:
-        """:meth:`build_next` reading an :class:`ArrayTrace`'s columns —
-        identical control flow and results, no Instruction objects.
+        """Produce the next fetch range, or None when blocked/exhausted.
 
         Instead of visiting every instruction, the walk advances one
         *segment* at a time: ``boundary[idx]`` gives the next index whose
@@ -158,6 +96,8 @@ class RangeBuilder:
         individually (the BPU is stateful); straight-line runs are
         delivered as a slice of the precomputed ``end`` column.
         """
+        if self.blocked or self.exhausted:
+            return None
         pcs, sizes, kinds, takens, targets, ends, boundaries = self._cols
         n_trace = self._n_trace
         idx = self.index
@@ -255,7 +195,7 @@ def segment_range(fetch_range: FetchRange, fetch_bytes: int,
     return segs
 
 
-def precompute_range_stream(trace: Sequence[Instruction],
+def precompute_range_stream(trace: ArrayTrace,
                             bpu: BranchPredictionUnit,
                             ) -> List[Tuple[FetchRange, int, int]]:
     """Run a :class:`RangeBuilder` over the whole trace in one pass.
@@ -328,6 +268,33 @@ class ReplayRangeBuilder:
         if fetch_range.resteer:
             self.blocked = True
         return fetch_range
+
+
+def replay_range_stream(trace: ArrayTrace, bpu: BranchPredictionUnit,
+                        fetch_bytes: int, fetch_width: int,
+                        ) -> Tuple[ReplayRangeBuilder, List[List[Tuple[int, int]]]]:
+    """A :class:`ReplayRangeBuilder` for ``trace`` plus the per-range
+    delivery chunks (:func:`segment_range`), aligned by emission order.
+
+    The range stream is a pure function of (trace, BPU params) and its
+    chunks of the fetch geometry, so both are computed once — off the
+    measured clock — and cached on ``trace.derived``: machines
+    simulating the same trace under different L1-I configurations (or
+    as one SMT thread among several) share one BPU walk.
+    """
+    derived = trace.derived
+    skey = ("range_stream", bpu.params)
+    stream = derived.get(skey)
+    if stream is None:
+        stream = precompute_range_stream(trace, bpu)
+        derived[skey] = stream
+    ckey = ("range_segs", bpu.params, fetch_bytes, fetch_width)
+    segs = derived.get(ckey)
+    if segs is None:
+        segs = [segment_range(fr, fetch_bytes, fetch_width)
+                for fr, _lookups, _mispredicts in stream]
+        derived[ckey] = segs
+    return ReplayRangeBuilder(stream, bpu), segs
 
 
 class FetchTargetQueue:

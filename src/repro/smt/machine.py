@@ -34,13 +34,17 @@ from collections import deque
 from time import perf_counter
 from typing import Deque, List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError, SimulationError
+from ..cpu.machine import (_FTQ_SAMPLE_MASK, _HIT, _STALL_BACKEND,
+                           _STALL_MISS, _STALL_NAMES, _STALL_RESTEER,
+                           FrontEndBase)
+from ..errors import ConfigurationError
 from ..frontend.bpu import BranchPredictionUnit, Resteer
-from ..frontend.ftq import (FetchRange, ReplayRangeBuilder,
-                            precompute_range_stream, segment_range)
+# ``precompute_range_stream`` is re-exported: by-name patchers of the
+# range-stream walk (perfbench/layers.py) rebind it in this module too.
+from ..frontend.ftq import (FetchRange,  # noqa: F401
+                            precompute_range_stream, replay_range_stream)
 from ..memory.hierarchy import MemoryHierarchy
 from ..memory.icache import InstructionCacheBase, MissKind
-from ..memory.mshr import MSHRFile
 from ..params import MachineParams
 from ..stats.counters import FrontEndStats, SimResult
 from ..stats.efficiency import EfficiencySampler
@@ -48,13 +52,12 @@ from ..telemetry import (
     FTQ as EV_FTQ,
     L1I as EV_L1I,
     MSHR as EV_MSHR,
-    NULL_TELEMETRY,
     RUN_SUMMARY,
     STALL as EV_STALL,
     Telemetry,
 )
 from ..telemetry.metrics import MetricsRegistry
-from ..trace.arrays import ArrayTrace
+from ..trace.arrays import ArrayTrace, as_array_trace
 from ..trace.record import Instruction
 from ..core.ubs_cache import UBSICache
 
@@ -66,19 +69,6 @@ ARBITRATION_POLICIES = ("rr", "icount")
 #: fight over the same sets but never hit each other's blocks.
 THREAD_ADDR_STRIDE = 1 << 40
 
-_STALL_MISS = 1
-_STALL_RESTEER = 2
-_STALL_BACKEND = 3
-
-_STALL_NAMES = {
-    _STALL_MISS: "miss",
-    _STALL_RESTEER: "resteer",
-    _STALL_BACKEND: "backend",
-}
-
-_HIT = MissKind.HIT
-_FTQ_SAMPLE_MASK = 255
-
 
 class HardwareThread:
     """One architectural stream plus its private front/back-end state."""
@@ -89,25 +79,13 @@ class HardwareThread:
             raise ConfigurationError(f"thread {tid}: empty trace")
         self.tid = tid
         self.name = f"t{tid}"
+        self.tag = {"thread": tid}    # extra fields on shared-helper events
         self.trace = trace
         self.addr_offset = tid * THREAD_ADDR_STRIDE
         self.bpu = BranchPredictionUnit(params.branch)
         core = params.core
-        derived = trace.derived
-        skey = ("range_stream", params.branch)
-        stream = derived.get(skey)
-        if stream is None:
-            stream = precompute_range_stream(trace, self.bpu)
-            derived[skey] = stream
-        self.builder = ReplayRangeBuilder(stream, self.bpu)
-        ckey = ("range_segs", params.branch, core.fetch_bytes,
-                core.fetch_width)
-        segs = derived.get(ckey)
-        if segs is None:
-            segs = [segment_range(fr, core.fetch_bytes, core.fetch_width)
-                    for fr, _lookups, _mispredicts in stream]
-            derived[ckey] = segs
-        self.range_segs = segs
+        self.builder, self.range_segs = replay_range_stream(
+            trace, self.bpu, core.fetch_bytes, core.fetch_width)
         self.range_seq = 0
         self.ftq_q: Deque[FetchRange] = deque()
         self.ftq_instrs = 0           # instructions queued in ftq_q
@@ -153,13 +131,12 @@ class HardwareThread:
         return n
 
 
-class SMTMachine:
+class SMTMachine(FrontEndBase):
     """N hardware threads on one core with a shared front end.
 
-    ``traces`` is one instruction stream per thread; non-columnar traces
-    are converted to :class:`ArrayTrace` up front (the columnar and
-    scalar delivery paths are bit-identical, so this never changes
-    results). With a single trace the machine reduces exactly to
+    ``traces`` is one instruction stream per thread, each converted once
+    to :class:`ArrayTrace` (an ``ArrayTrace`` is used as is). With a
+    single trace the machine reduces exactly to
     :class:`repro.cpu.machine.Machine`.
     """
 
@@ -174,37 +151,16 @@ class SMTMachine:
             raise ConfigurationError(
                 f"unknown arbitration policy {policy!r} "
                 f"(choose from {ARBITRATION_POLICIES})")
-        self.params = params or MachineParams()
-        self.icache = icache
+        super().__init__(icache, params, telemetry)
         self.policy = policy
-        self.hierarchy = MemoryHierarchy(self.params)
-        self.mshr = MSHRFile(icache.mshr_entries)
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        recorder = self.telemetry.recorder
-        self._rec = recorder if recorder.enabled else None
-        if self._rec is not None:
-            icache.telemetry = recorder
-            self.hierarchy.dram.telemetry = recorder
-
         self.threads = [
-            HardwareThread(
-                tid,
-                tr if isinstance(tr, ArrayTrace)
-                else ArrayTrace.from_instructions(tr),
-                self.params, self.hierarchy)
+            HardwareThread(tid, as_array_trace(tr), self.params,
+                           self.hierarchy)
             for tid, tr in enumerate(traces)
         ]
         self.n_threads = len(self.threads)
-        core = self.params.core
-        self._ftq_capacity = core.ftq_entries
+        self._ftq_capacity = self.params.core.ftq_entries
         self._ftq_occ = 0
-        self._fills: List[Tuple[int, int]] = []    # (cycle, block_addr)
-        self._prefetcher = core.prefetcher
-        self._fdip_on = self._prefetcher == "fdip"
-        self._fdip_degree = core.fdip_degree
-        self._bpu_ranges_per_cycle = core.bpu_ranges_per_cycle
-        self.cycle = 0
-        self.wall_seconds = 0.0
         self._live: List[HardwareThread] = []
 
         self.metrics = MetricsRegistry()
@@ -232,15 +188,6 @@ class SMTMachine:
         self.hierarchy.register_metrics(reg)
 
     # -- per-cycle stages ---------------------------------------------------------
-
-    def _process_fills(self, cycle: int) -> None:
-        fills = self._fills
-        if self._rec is not None and fills and fills[0][0] <= cycle:
-            self.icache.now = cycle
-        pop = heapq.heappop
-        fill = self.icache.fill
-        while fills and fills[0][0] <= cycle:
-            fill(pop(fills)[1])
 
     def _run_bpu(self, t: HardwareThread) -> None:
         """Produce up to ``bpu_ranges_per_cycle`` ranges for one thread."""
@@ -505,7 +452,8 @@ class SMTMachine:
                 rec.emit(EV_L1I, cycle, result=result.kind.name,
                          pc=cur_byte, nbytes=chunk_end - cur_byte,
                          thread=t.tid)
-            t.blocked_until = self._handle_miss(result.block_addr, cycle, t)
+            t.blocked_until = self._handle_miss(result.block_addr, cycle,
+                                                t.stats, t.tag)
             t.blocked_kind = _STALL_MISS
             if t.measuring:
                 t.stats.fetch_stall_cycles += 1
@@ -611,48 +559,6 @@ class SMTMachine:
             t.sampler.reset(cycle)
 
     # -- helpers -----------------------------------------------------------------------
-
-    def _handle_miss(self, block_addr: int, cycle: int,
-                     t: HardwareThread) -> int:
-        """Start or join the fill for ``block_addr``; returns its cycle."""
-        mshr = self.mshr
-        inflight = mshr.lookup(block_addr, cycle)
-        if inflight is not None:
-            return inflight
-        if mshr.full(cycle):
-            earliest = mshr.earliest_completion()
-            if earliest is None:  # pragma: no cover - defensive
-                raise SimulationError("MSHR full but empty")
-            return earliest
-        latency = self.hierarchy.fetch_block(block_addr, cycle)
-        fill_at = cycle + latency
-        mshr.allocate(block_addr, fill_at, cycle)
-        heapq.heappush(self._fills, (fill_at, block_addr))
-        if self._rec is not None:
-            self._rec.emit(EV_MSHR, cycle, block=block_addr, fill=fill_at,
-                           source="demand", thread=t.tid)
-        if self._prefetcher == "nextline":
-            self._issue_next_lines(block_addr, cycle, t)
-        return fill_at
-
-    def _issue_next_lines(self, block_addr: int, cycle: int,
-                          t: HardwareThread) -> None:
-        mshr = self.mshr
-        for i in range(1, self.params.core.nextline_degree + 1):
-            addr = block_addr + i * 64
-            if mshr.full(cycle):
-                return
-            if self.icache.probe_range(addr, 1) \
-                    or mshr.lookup(addr, cycle) is not None:
-                continue
-            latency = self.hierarchy.fetch_block(addr, cycle)
-            fill_at = cycle + latency
-            mshr.allocate(addr, fill_at, cycle)
-            heapq.heappush(self._fills, (fill_at, addr))
-            t.stats.prefetches_issued += 1
-            if self._rec is not None:
-                self._rec.emit(EV_MSHR, cycle, block=addr, fill=fill_at,
-                               source="nextline", thread=t.tid)
 
     def _skip_stalls(self, cycle: int) -> int:
         """Fast-forward when every live thread is blocked and every

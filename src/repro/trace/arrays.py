@@ -15,9 +15,12 @@ simulation cheap to move around:
   :class:`~repro.frontend.ftq.RangeBuilder` run-ahead) read the columns
   directly and never materialise :class:`Instruction` objects.
 
-``ArrayTrace`` is also a read-only ``Sequence[Instruction]``: indexing
-builds the object view lazily, so every existing consumer of a
-``List[Instruction]`` trace keeps working unchanged and bit-identically.
+``ArrayTrace`` is the one trace form the simulator consumes:
+:class:`~repro.cpu.machine.Machine` and :class:`~repro.smt.SMTMachine`
+convert any other instruction sequence once with :func:`as_array_trace`,
+and :func:`~repro.trace.io.read_trace` returns one for every file
+format. It is also a read-only ``Sequence[Instruction]`` whose indexing
+builds the object view lazily, for analysis code that wants records.
 
 Serialised layout (little endian)::
 
@@ -41,7 +44,7 @@ The sidecar columns are *derived* (never authoritative): ``end[i]`` is
 ``boundary[i]`` the ``end`` column is strictly increasing, which is what
 lets the fetch-range builder binary-search a whole straight-line run
 instead of walking it instruction by instruction
-(:meth:`repro.frontend.ftq.RangeBuilder._build_next_columnar`).
+(:meth:`repro.frontend.ftq.RangeBuilder.build_next`).
 
 Version-1 buffers (older trace caches, shared-memory segments published
 by older hosts) are still accepted: :meth:`ArrayTrace.from_buffer`

@@ -8,12 +8,11 @@ Two versions exist, distinguished by their leading magic:
 * **v1 — record-oriented** (``b"REPROTR1"``): 8-byte magic, u32
   instruction count, then one packed ``<QQQBBBbbb`` record per
   instruction (pc, target, mem_addr, size, kind, flags with bit0 =
-  taken, src1, src2, dst — 30 bytes each). Reads back as a
-  ``List[Instruction]``.
+  taken, src1, src2, dst — 30 bytes each). Decoded into owned
+  columns on read.
 * **v2 — columnar** (``b"REPROAT"`` + version byte): the
   :class:`~repro.trace.arrays.ArrayTrace` structure-of-arrays layout.
-  Reads back as an ``ArrayTrace`` whose columns are zero-copy views
-  over the file bytes.
+  Reads back with columns that are zero-copy views over the file bytes.
 
 :func:`read_trace` auto-detects the container; :func:`write_trace`
 writes v2 when given an :class:`ArrayTrace` and v1 for plain
@@ -32,7 +31,7 @@ from __future__ import annotations
 import gzip
 import struct
 from pathlib import Path
-from typing import BinaryIO, Iterable, List, Sequence, Union
+from typing import BinaryIO, Iterable, Iterator, Union
 
 from ..errors import TraceError
 from .arrays import ArrayTrace
@@ -43,8 +42,6 @@ MAGIC = b"REPROTR1"
 _REC = struct.Struct("<QQQBBBbbb")
 
 PathLike = Union[str, Path]
-
-Trace = Union[List[Instruction], ArrayTrace]
 
 
 def _open(path: PathLike, mode: str) -> BinaryIO:
@@ -87,18 +84,16 @@ def is_champsim_file(path: PathLike) -> bool:
     return name.endswith((".champsim", ".champsimtrace"))
 
 
-def read_trace(path: PathLike) -> Trace:
+def read_trace(path: PathLike) -> ArrayTrace:
     """Read a trace previously written by :func:`write_trace`, or a raw
-    ChampSim trace (detected by extension).
-
-    Returns a ``List[Instruction]`` for v1 and ChampSim files and an
-    :class:`ArrayTrace` for v2 (columnar) files; both are valid
-    ``Sequence[Instruction]`` trace inputs everywhere in the simulator.
+    ChampSim trace (detected by extension), as an :class:`ArrayTrace` —
+    the one trace form the simulator consumes. v2 (columnar) files load
+    zero-copy; v1 and ChampSim files are decoded into owned columns.
     """
     if is_champsim_file(path):
         from .champsim import read_champsim
 
-        return read_champsim(path)
+        return ArrayTrace.from_instructions(read_champsim(path))
     with _open(path, "rb") as fh:
         head = fh.read(len(MAGIC))
         if head == MAGIC:
@@ -111,21 +106,20 @@ def read_trace(path: PathLike) -> Trace:
         raise TraceError(f"{path}: bad magic {head!r}")
 
 
-def _read_v1(path: PathLike, fh: BinaryIO) -> List[Instruction]:
+def _read_v1(path: PathLike, fh: BinaryIO) -> ArrayTrace:
     (count,) = struct.unpack("<I", fh.read(4))
     payload = fh.read(count * _REC.size)
     if len(payload) != count * _REC.size:
         raise TraceError(
             f"{path}: truncated trace (expected {count} records)"
         )
-    out: List[Instruction] = []
-    append = out.append
-    for off in range(0, len(payload), _REC.size):
-        pc, target, mem, size, kind, flags, s1, s2, d = _REC.unpack_from(
-            payload, off
-        )
-        append(Instruction(
+    return ArrayTrace.from_instructions(_v1_records(payload))
+
+
+def _v1_records(payload: bytes) -> Iterator[Instruction]:
+    for pc, target, mem, size, kind, flags, s1, s2, d in \
+            _REC.iter_unpack(payload):
+        yield Instruction(
             pc, size, InstrKind(kind), taken=bool(flags & 1),
             target=target, src1=s1, src2=s2, dst=d, mem_addr=mem,
-        ))
-    return out
+        )

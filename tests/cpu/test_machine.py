@@ -165,3 +165,10 @@ class TestBuildICache:
     def test_unknown_config(self):
         with pytest.raises(ConfigurationError):
             build_icache("l4_quantum_cache")
+
+    @pytest.mark.parametrize("config", ["convXX", "small", "ubs_budgetx",
+                                        "ubs_gapx", "ubs_waysXc1",
+                                        "ubs_ways4"])
+    def test_malformed_numeric_field_is_typed(self, config):
+        with pytest.raises(ConfigurationError, match=repr(config)):
+            build_icache(config)

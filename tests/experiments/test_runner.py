@@ -61,8 +61,8 @@ class TestCache:
     def test_trace_cache_reused(self, isolated_cache):
         from repro.trace.workloads import get_workload
         wl = get_workload("client_000")
-        t1 = isolated_cache.trace_for(wl)
-        t2 = isolated_cache.trace_for(wl)
+        t1 = isolated_cache.array_trace_for(wl)   # generates + persists
+        t2 = isolated_cache.array_trace_for(wl)   # reads the file back
         assert t1 == t2
         assert isolated_cache._trace_path("client_000").exists()
 

@@ -4,6 +4,12 @@ from repro.frontend.bpu import BranchPredictionUnit, Resteer
 from repro.trace.record import Instruction, InstrKind
 
 
+def process(bpu, ins):
+    """Feed one instruction's raw fields to the BPU."""
+    return bpu.process_raw(ins.kind, ins.pc, ins.size, ins.taken,
+                           ins.target)
+
+
 def cond(pc, taken, target=0x9000):
     return Instruction(pc, 4, InstrKind.BR_COND, taken=taken, target=target)
 
@@ -12,14 +18,14 @@ class TestConditional:
     def test_learned_branch_no_resteer(self):
         bpu = BranchPredictionUnit()
         for _ in range(60):
-            bpu.process(cond(0x1000, True))
-        assert bpu.process(cond(0x1000, True)) == Resteer.NONE
+            process(bpu, cond(0x1000, True))
+        assert process(bpu, cond(0x1000, True)) == Resteer.NONE
 
     def test_wrong_direction_is_execute_resteer(self):
         bpu = BranchPredictionUnit()
         for _ in range(60):
-            bpu.process(cond(0x1000, True))
-        assert bpu.process(cond(0x1000, False)) == Resteer.EXECUTE
+            process(bpu, cond(0x1000, True))
+        assert process(bpu, cond(0x1000, False)) == Resteer.EXECUTE
 
     def test_taken_with_cold_btb_is_decode_resteer(self):
         bpu = BranchPredictionUnit()
@@ -27,42 +33,42 @@ class TestConditional:
         # predicts taken on first sight.
         for pc in range(0x2000, 0x2100, 4):
             for _ in range(8):
-                bpu.process(cond(pc, True))
-        result = bpu.process(cond(0x8000, True))
+                process(bpu, cond(pc, True))
+        result = process(bpu, cond(0x8000, True))
         assert result in (Resteer.DECODE, Resteer.EXECUTE)
 
     def test_not_taken_needs_no_btb(self):
         bpu = BranchPredictionUnit()
         for _ in range(60):
-            bpu.process(cond(0x1000, False))
-        assert bpu.process(cond(0x1000, False)) == Resteer.NONE
+            process(bpu, cond(0x1000, False))
+        assert process(bpu, cond(0x1000, False)) == Resteer.NONE
 
 
 class TestUnconditional:
     def test_jump_first_sight_decode_resteer(self):
         bpu = BranchPredictionUnit()
         jump = Instruction(0x100, 4, InstrKind.JUMP, taken=True, target=0x500)
-        assert bpu.process(jump) == Resteer.DECODE
-        assert bpu.process(jump) == Resteer.NONE
+        assert process(bpu, jump) == Resteer.DECODE
+        assert process(bpu, jump) == Resteer.NONE
 
     def test_call_pushes_ras(self):
         bpu = BranchPredictionUnit()
         call = Instruction(0x100, 4, InstrKind.CALL, taken=True, target=0x500)
-        bpu.process(call)
+        process(bpu, call)
         ret = Instruction(0x600, 4, InstrKind.RET, taken=True, target=0x104)
-        assert bpu.process(ret) == Resteer.NONE
+        assert process(bpu, ret) == Resteer.NONE
 
     def test_wrong_return_address_resteers(self):
         bpu = BranchPredictionUnit()
         call = Instruction(0x100, 4, InstrKind.CALL, taken=True, target=0x500)
-        bpu.process(call)
+        process(bpu, call)
         ret = Instruction(0x600, 4, InstrKind.RET, taken=True, target=0xBAD0)
-        assert bpu.process(ret) == Resteer.EXECUTE
+        assert process(bpu, ret) == Resteer.EXECUTE
 
     def test_empty_ras_return_resteers(self):
         bpu = BranchPredictionUnit()
         ret = Instruction(0x600, 4, InstrKind.RET, taken=True, target=0x104)
-        assert bpu.process(ret) == Resteer.EXECUTE
+        assert process(bpu, ret) == Resteer.EXECUTE
 
 
 class TestIndirect:
@@ -70,27 +76,27 @@ class TestIndirect:
         bpu = BranchPredictionUnit()
         ind = Instruction(0x100, 4, InstrKind.BR_IND, taken=True,
                           target=0x700)
-        assert bpu.process(ind) == Resteer.EXECUTE   # cold BTB
-        assert bpu.process(ind) == Resteer.NONE
+        assert process(bpu, ind) == Resteer.EXECUTE   # cold BTB
+        assert process(bpu, ind) == Resteer.NONE
 
     def test_changing_target_resteers(self):
         bpu = BranchPredictionUnit()
         a = Instruction(0x100, 4, InstrKind.BR_IND, taken=True, target=0x700)
         b = Instruction(0x100, 4, InstrKind.BR_IND, taken=True, target=0x900)
-        bpu.process(a)
-        bpu.process(a)
-        assert bpu.process(b) == Resteer.EXECUTE
-        assert bpu.process(b) == Resteer.NONE
+        process(bpu, a)
+        process(bpu, a)
+        assert process(bpu, b) == Resteer.EXECUTE
+        assert process(bpu, b) == Resteer.NONE
 
     def test_indirect_call_pushes_ras(self):
         bpu = BranchPredictionUnit()
         icall = Instruction(0x100, 4, InstrKind.CALL_IND, taken=True,
                             target=0x700)
-        bpu.process(icall)
+        process(bpu, icall)
         ret = Instruction(0x800, 4, InstrKind.RET, taken=True, target=0x104)
-        assert bpu.process(ret) == Resteer.NONE
+        assert process(bpu, ret) == Resteer.NONE
 
     def test_non_branch_is_none(self):
         bpu = BranchPredictionUnit()
         alu = Instruction(0x100, 4, InstrKind.ALU)
-        assert bpu.process(alu) == Resteer.NONE
+        assert process(bpu, alu) == Resteer.NONE

@@ -6,10 +6,17 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SimulationError
 from repro.frontend.bpu import BranchPredictionUnit, Resteer
 from repro.frontend.ftq import FetchRange, FetchTargetQueue, RangeBuilder
+from repro.trace.arrays import ArrayTrace
 from repro.trace.record import Instruction, InstrKind
 from repro.trace.synthesis import generate_trace
 
 from ..conftest import small_spec
+
+
+def builder_for(trace, bpu=None):
+    """A range builder over the columnar form of ``trace``."""
+    return RangeBuilder(ArrayTrace.from_instructions(trace),
+                        bpu or BranchPredictionUnit())
 
 
 def straight(pc, n, size=4):
@@ -23,7 +30,7 @@ def straight(pc, n, size=4):
 class TestRangeConstruction:
     def test_simple_block_range(self):
         trace = straight(0x1000, 4)
-        builder = RangeBuilder(trace, BranchPredictionUnit())
+        builder = builder_for(trace)
         fr = builder.build_next()
         assert fr.start == 0x1000
         assert fr.nbytes == 16
@@ -32,7 +39,7 @@ class TestRangeConstruction:
 
     def test_range_splits_at_block_boundary(self):
         trace = straight(0x1000, 32)   # 128 bytes = 2 blocks
-        builder = RangeBuilder(trace, BranchPredictionUnit())
+        builder = builder_for(trace)
         fr1 = builder.build_next()
         assert fr1.start == 0x1000 and fr1.nbytes == 64
         fr2 = builder.build_next()
@@ -41,7 +48,7 @@ class TestRangeConstruction:
 
     def test_unaligned_start(self):
         trace = straight(0x1030, 8)
-        builder = RangeBuilder(trace, BranchPredictionUnit())
+        builder = builder_for(trace)
         fr1 = builder.build_next()
         assert fr1.start == 0x1030 and fr1.end == 0x1040
         fr2 = builder.build_next()
@@ -53,7 +60,7 @@ class TestRangeConstruction:
             Instruction(0x1038, 15, InstrKind.ALU),
             Instruction(0x1047, 4, InstrKind.ALU),
         ]
-        builder = RangeBuilder(trace, BranchPredictionUnit())
+        builder = builder_for(trace)
         fr1 = builder.build_next()
         assert fr1.start == 0x1038 and fr1.end == 0x1040
         assert fr1.n_instrs == 0      # instruction completes later
@@ -67,7 +74,7 @@ class TestRangeConstruction:
         jump = Instruction(0x1008, 4, InstrKind.JUMP, taken=True,
                            target=0x2000)
         trace = straight(0x1000, 2) + [jump] + straight(0x2000, 2)
-        builder = RangeBuilder(trace, bpu)
+        builder = builder_for(trace, bpu)
         fr1 = builder.build_next()
         # Cold BTB -> decode resteer ends the range and blocks the builder.
         assert fr1.resteer == Resteer.DECODE
@@ -83,7 +90,7 @@ class TestRangeConstruction:
         jump = Instruction(0x1008, 4, InstrKind.JUMP, taken=True,
                            target=0x2000)
         trace = straight(0x1000, 2) + [jump] + straight(0x2000, 2)
-        builder = RangeBuilder(trace, bpu)
+        builder = builder_for(trace, bpu)
         fr1 = builder.build_next()
         assert fr1.resteer == Resteer.NONE
         assert not builder.blocked
@@ -92,7 +99,7 @@ class TestRangeConstruction:
 
     def test_exhaustion(self):
         trace = straight(0x1000, 2)
-        builder = RangeBuilder(trace, BranchPredictionUnit())
+        builder = builder_for(trace)
         assert builder.build_next() is not None
         assert builder.exhausted
         assert builder.build_next() is None
@@ -101,7 +108,7 @@ class TestRangeConstruction:
 class TestRangesCoverTrace:
     def _collect(self, trace):
         bpu = BranchPredictionUnit()
-        builder = RangeBuilder(trace, bpu)
+        builder = builder_for(trace, bpu)
         indices = []
         while not builder.exhausted:
             fr = builder.build_next()
@@ -120,7 +127,7 @@ class TestRangesCoverTrace:
     def test_ranges_stay_within_blocks(self):
         trace = generate_trace(small_spec(isa="variable"), 3000)
         bpu = BranchPredictionUnit()
-        builder = RangeBuilder(trace, bpu)
+        builder = builder_for(trace, bpu)
         while not builder.exhausted:
             fr = builder.build_next()
             if fr is None:

@@ -192,6 +192,12 @@ class TestValidationAndLifecycle:
                 client.request("submit",
                                pairs=[["server_000", "no_such_config"]])
 
+    def test_malformed_config_rejected(self, server):
+        with pytest.raises(ServiceError, match="bad config 'convXX'"):
+            with ServiceClient(server.address) as client:
+                client.request("submit", pairs=[["server_000", "convXX"]])
+        assert server.stats["jobs_submitted"] == 0
+
     def test_scale_mismatch_rejected(self, server):
         with pytest.raises(ServiceError, match="scale mismatch"):
             with ServiceClient(server.address) as client:

@@ -36,9 +36,43 @@ class TestCLI:
 
     def test_unknown_workload_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.02")
+        from repro.__main__ import _run_one
         from repro.errors import ConfigurationError
         with pytest.raises(ConfigurationError):
-            main(["run", "not_a_workload"])
+            _run_one("not_a_workload", "ubs")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "not_a_workload"],
+        ["run", "spec_000", "convXX"],
+        ["compare", "spec_000", "conv32", "ubs_ways4"],
+        ["run", "smt:spec_000+spec_001", "conv32"],
+    ])
+    def test_repro_error_exits_2(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "0.02")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("config", ["conv32_f64", "ubs_f64"])
+    def test_run_honours_ftq_suffix(self, config, capsys, monkeypatch):
+        """The CLI builds the same machine as the library and sweeps."""
+        import json
+        from repro import simulate
+        monkeypatch.setenv("REPRO_SCALE", "0.02")
+        assert main(["run", "spec_000", config, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == simulate("spec_000", config).to_dict()
+
+    def test_compare_walks_the_bpu_once(self, capsys, monkeypatch):
+        import repro.frontend.ftq as ftq
+        monkeypatch.setenv("REPRO_SCALE", "0.02")
+        walks = []
+        walk = ftq.precompute_range_stream
+        monkeypatch.setattr(ftq, "precompute_range_stream",
+                            lambda *a: walks.append(1) or walk(*a))
+        assert main(["compare", "spec_000", "conv32", "ubs",
+                     "small16"]) == 0
+        assert len(walks) == 1
 
 
 class TestTelemetryCLI:

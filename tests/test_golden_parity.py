@@ -63,6 +63,33 @@ def _simulate(workload: str, config: str, columnar: bool = False) -> dict:
     return result.to_dict()
 
 
+def _all_branch_kinds():
+    # Every instruction is a branch, cycling through every branch kind;
+    # taken ones jump forward a block, the rest fall through.
+    kinds = (InstrKind.BR_COND, InstrKind.JUMP, InstrKind.CALL,
+             InstrKind.RET, InstrKind.BR_IND, InstrKind.CALL_IND)
+    instrs = []
+    pc = 0x40_0000
+    for i in range(240):
+        kind = kinds[i % len(kinds)]
+        taken = kind is not InstrKind.BR_COND or i % 2 == 0
+        target = pc + 68 if taken else 0
+        instrs.append(Instruction(pc, 4, kind, taken=taken, target=target))
+        pc = target if taken else pc + 4
+    return instrs
+
+
+#: Degenerate traces at the extremes of the columnar boundary/segment
+#: machinery: name -> (instructions, warmup, measure).
+EDGE_TRACES = {
+    "single_instruction": ([Instruction(0x1000, 4, InstrKind.ALU)], 0, 1),
+    "single_taken_branch": (
+        [Instruction(0x1000, 4, InstrKind.JUMP, taken=True, target=0x2000)],
+        0, 1),
+    "all_branch_kinds": (_all_branch_kinds(), 40, 200),
+}
+
+
 @pytest.fixture(autouse=True)
 def pinned_scale(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", GOLDEN_SCALE)
@@ -70,6 +97,9 @@ def pinned_scale(monkeypatch):
 
 @pytest.mark.parametrize("workload,config", GOLDEN_PAIRS)
 def test_bit_identical_to_golden(workload, config):
+    """``Machine.run`` on a plain instruction list (converted to the
+    columnar form by ``Machine`` itself) reproduces the golden recorded
+    before the optimization pass, key for key."""
     path = _golden_path(workload, config)
     produced = _simulate(workload, config)
     if os.environ.get("REPRO_UPDATE_GOLDENS"):
@@ -88,26 +118,27 @@ def test_bit_identical_to_golden(workload, config):
 
 
 class TestEdgeTraces:
-    """Degenerate traces through the vectorized columnar paths: the
-    precomputed boundary/segment machinery must agree with the scalar
-    object-list walk at the extremes, not just on realistic workloads."""
+    """Degenerate traces through the columnar paths. The expected
+    results were recorded while the (since removed) per-instruction
+    object-list walk was still asserted equal to the columnar one, so
+    they pin the extremes to that scalar reference."""
 
     CONFIGS = ("conv32", "ubs")
+    EXPECTED = json.loads(
+        (Path(__file__).parent / "edge_traces_expected.json").read_text())
 
-    @staticmethod
-    def _run(trace, config, warmup, measure):
-        machine = Machine(trace, build_icache(config))
-        result = machine.run(warmup, measure)
-        result.workload = "edge"
-        result.config = config
-        return result.to_dict()
-
-    def _assert_paths_agree(self, instrs, warmup, measure):
+    def _assert_pinned(self, name):
+        instrs, warmup, measure = EDGE_TRACES[name]
         for config in self.CONFIGS:
-            scalar = self._run(list(instrs), config, warmup, measure)
-            columnar = self._run(ArrayTrace.from_instructions(instrs),
-                                 config, warmup, measure)
-            assert columnar == scalar, config
+            # Both input forms: a plain list (converted by Machine) and
+            # an ArrayTrace (used as is).
+            for trace in (list(instrs), ArrayTrace.from_instructions(instrs)):
+                machine = Machine(trace, build_icache(config))
+                result = machine.run(warmup, measure)
+                result.workload = "edge"
+                result.config = config
+                assert result.to_dict() == \
+                    self.EXPECTED[f"{name}/{config}"], config
 
     def test_empty_trace_rejected_on_both_paths(self):
         with pytest.raises(ConfigurationError, match="empty trace"):
@@ -117,29 +148,13 @@ class TestEdgeTraces:
                     build_icache("conv32"))
 
     def test_single_instruction(self):
-        self._assert_paths_agree(
-            [Instruction(0x1000, 4, InstrKind.ALU)], 0, 1)
+        self._assert_pinned("single_instruction")
 
     def test_single_taken_branch(self):
-        self._assert_paths_agree(
-            [Instruction(0x1000, 4, InstrKind.JUMP, taken=True,
-                         target=0x2000)], 0, 1)
+        self._assert_pinned("single_taken_branch")
 
     def test_all_branch_kinds(self):
-        # Every instruction is a branch, cycling through every branch
-        # kind; taken ones jump forward a block, the rest fall through.
-        kinds = (InstrKind.BR_COND, InstrKind.JUMP, InstrKind.CALL,
-                 InstrKind.RET, InstrKind.BR_IND, InstrKind.CALL_IND)
-        instrs = []
-        pc = 0x40_0000
-        for i in range(240):
-            kind = kinds[i % len(kinds)]
-            taken = kind is not InstrKind.BR_COND or i % 2 == 0
-            target = pc + 68 if taken else 0
-            instrs.append(Instruction(pc, 4, kind, taken=taken,
-                                      target=target))
-            pc = target if taken else pc + 4
-        self._assert_paths_agree(instrs, 40, 200)
+        self._assert_pinned("all_branch_kinds")
 
 
 @pytest.mark.parametrize("workload,config", GOLDEN_PAIRS)
@@ -171,18 +186,16 @@ def test_smt_solo_bit_identical_to_golden(workload, config):
 
 @pytest.mark.parametrize("workload,config", GOLDEN_PAIRS)
 def test_columnar_trace_bit_identical_to_golden(workload, config):
-    """The ArrayTrace delivery/run-ahead fast paths (columnar BPU walk,
-    ``Backend.accept_range_arrays``) must match the same pre-recorded
-    goldens as the object-list path — the parallel sweep engine feeds
-    every worker columnar traces, so any drift here would silently change
-    every campaign result."""
+    """A trace handed to ``Machine`` already as an ``ArrayTrace`` (what
+    the sweep engine feeds every worker) must match the same goldens as
+    a plain instruction list — any drift between the two input forms
+    would silently change every campaign result."""
     path = _golden_path(workload, config)
     if not path.exists():
         pytest.skip(f"golden {path.name} not recorded yet")
     produced = _simulate(workload, config, columnar=True)
     golden = json.loads(path.read_text())
     assert produced == golden, (
-        f"{workload}/{config} columnar simulation drifted from the golden "
-        "recorded with object-list traces — the ArrayTrace hot paths are "
-        "no longer bit-identical"
+        f"{workload}/{config} simulation of an ArrayTrace input drifted "
+        "from the golden — the two trace input forms no longer agree"
     )

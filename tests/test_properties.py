@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cpu.machine import Machine, build_icache
 from repro.frontend.bpu import BranchPredictionUnit
 from repro.frontend.ftq import RangeBuilder
+from repro.trace.arrays import ArrayTrace
 from repro.trace.record import validate_trace
 from repro.trace.synthesis import ProgramBuilder, SynthesisSpec, TraceWalker
 
@@ -54,7 +55,8 @@ class TestGeneratorProperties:
     @settings(max_examples=10, deadline=None)
     def test_fetch_ranges_partition_any_trace(self, spec):
         trace = TraceWalker(ProgramBuilder(spec).build(), spec).run(3000)
-        builder = RangeBuilder(trace, BranchPredictionUnit())
+        builder = RangeBuilder(ArrayTrace.from_instructions(trace),
+                               BranchPredictionUnit())
         delivered = 0
         while not builder.exhausted:
             fr = builder.build_next()

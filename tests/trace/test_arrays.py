@@ -184,12 +184,13 @@ class TestIOIntegration:
             assert fh.read(2) == b"\x1f\x8b"
         assert read_trace(path) == at
 
-    def test_v1_files_still_read_as_lists(self, tmp_path, trace500):
+    def test_v1_files_read_as_array_traces(self, tmp_path, trace500):
         path = tmp_path / "t.trace"
         write_trace(path, trace500)
         back = read_trace(path)
-        assert isinstance(back, list)
-        assert back == trace500
+        assert isinstance(back, ArrayTrace)
+        assert back == ArrayTrace.from_instructions(trace500)
+        assert back.to_instructions() == trace500
 
     def test_corrupt_v2_raises_trace_error(self, tmp_path, trace500):
         path = tmp_path / "t.atrace"

@@ -179,10 +179,9 @@ def run_suite(pairs: List[Tuple[str, str]], repeats: int,
               obs=None) -> Dict:
     """Time every pair; traces are generated once per workload.
 
-    Traces are handed to the machine in the columnar (ArrayTrace) form —
-    the representation every production path (run_all fills, the sweep
-    engine, DSE) simulates with — so the gate times the vectorized
-    kernel, not the object-list compatibility path.
+    Each trace is encoded to the columnar ArrayTrace once, so every
+    config's machine shares one trace (and its derived BPU walk) and
+    only ``run()`` is timed.
     """
     from repro.trace.arrays import ArrayTrace
     from repro.trace.workloads import get_workload, is_smt_workload
