@@ -118,21 +118,13 @@ def simulate(workload: Union[str, Workload], config: str = "conv32", *,
     if isinstance(workload, SMTWorkload):
         # Co-run pairs have no single merged trace: each component
         # becomes one hardware thread of a shared-front-end SMTMachine.
-        from .smt import SMTMachine
+        from .smt import SMTMachine, run_corun
 
-        components = workload.component_workloads()
         machine = SMTMachine(
-            [w.generate() for w in components], build_icache(base),
-            params=params, telemetry=telemetry, policy=workload.policy)
-        for thread, comp in zip(machine.threads, components):
-            thread.name = comp.name
-        result = machine.run([w.windows() for w in components])
-        result.workload = workload.name
-        result.config = config
-        for comp, tdict in zip(components, result.extra["threads"]):
-            tdict["workload"] = comp.name
-            tdict["config"] = config
-        return result
+            [w.generate() for w in workload.component_workloads()],
+            build_icache(base), params=params, telemetry=telemetry,
+            policy=workload.policy)
+        return run_corun(machine, workload, config)
     warmup, measure = workload.windows()
     machine = Machine(workload.generate(), build_icache(base), params,
                       telemetry=telemetry)

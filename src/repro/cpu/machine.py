@@ -82,9 +82,9 @@ class FrontEndBase:
     :class:`repro.smt.SMTMachine`: one L1-I with its MSHR file, fill
     queue and memory hierarchy, plus the telemetry recorder.
 
-    The miss helpers take the :class:`FrontEndStats` to charge and a
-    ``tag`` of extra event fields (``{}`` solo, ``{"thread": tid}`` for
-    an SMT hardware thread).
+    The miss helpers and the result epilogue take the
+    :class:`FrontEndStats` to charge and a ``tag`` of extra event fields
+    (``{}`` solo, ``{"thread": tid}`` for an SMT hardware thread).
     """
 
     def __init__(self, icache: InstructionCacheBase,
@@ -111,6 +111,73 @@ class FrontEndBase:
         self._bpu_ranges_per_cycle = core.bpu_ranges_per_cycle
         self.cycle = 0
         self.wall_seconds = 0.0
+
+    def _register_metrics(self) -> MetricsRegistry:
+        """Expose the shared components' counters under stable dotted
+        names; subclasses extend the registry with their own gauges.
+
+        All registrations are pull-style gauges reading live attributes,
+        so the simulator hot paths carry no metrics bookkeeping; call
+        ``self.metrics.snapshot()`` at any point for a consistent view.
+        """
+        reg = self.metrics = MetricsRegistry()
+        reg.gauge("machine.cycles", lambda: self.cycle)
+        reg.gauge("mshr.allocations", lambda: self.mshr.allocations)
+        reg.gauge("mshr.merges", lambda: self.mshr.merges)
+        reg.gauge("mshr.occupancy", lambda: len(self.mshr))
+        self.icache.register_metrics(reg)
+        self.hierarchy.register_metrics(reg)
+        return reg
+
+    @staticmethod
+    def _check_window(trace_len: int, warmup: int, measure: int,
+                      who: str = "") -> int:
+        """Validate a ``(warmup, measure)`` window against a trace of
+        ``trace_len`` instructions; returns ``warmup + measure``."""
+        if warmup < 0 or measure < 0:
+            raise ConfigurationError(
+                f"{who}negative window (warmup={warmup}, measure={measure})")
+        total = warmup + measure
+        if total > trace_len:
+            raise ConfigurationError(
+                f"{who}trace has {trace_len} instructions, need {total}")
+        return total
+
+    def _window_result(self, stats: FrontEndStats, measure: int,
+                       warmup_commit: int, last_commit: int,
+                       prefetches: int, tag: dict, efficiency=None,
+                       **extra) -> SimResult:
+        """Emit the run summary for one measured window and build its
+        :class:`SimResult`; its cycles are the commit span since the
+        warm-up boundary. ``extra`` entries follow the shared
+        ``block_count``/``prefetches``/``dram_accesses`` ones."""
+        cycles = max(1, last_commit - warmup_commit)
+        if self._rec is not None:
+            self._rec.emit(
+                RUN_SUMMARY, self.cycle,
+                cycles=cycles, instructions=measure,
+                fetch_stall_cycles=stats.fetch_stall_cycles,
+                mispredict_stall_cycles=stats.mispredict_stall_cycles,
+                l1i_hits=stats.l1i_hits, l1i_misses=stats.l1i_misses,
+                partial_misses=stats.partial_misses,
+                branch_mispredicts=stats.branch_mispredicts,
+                btb_resteers=stats.btb_resteers,
+                prefetches_issued=stats.prefetches_issued,
+                **tag,
+            )
+        return SimResult(
+            workload="", config="",
+            instructions=measure,
+            cycles=cycles,
+            frontend=stats,
+            efficiency=efficiency,
+            extra={
+                "block_count": self.icache.block_count(),
+                "prefetches": prefetches,
+                "dram_accesses": self.hierarchy.dram.accesses,
+                **extra,
+            },
+        )
 
     def _process_fills(self, cycle: int) -> None:
         fills = self._fills
@@ -202,34 +269,21 @@ class Machine(FrontEndBase):
         self.delivered = 0
         self._last_commit = 0
         self._stall_pc = 0
-
-        self.metrics = MetricsRegistry()
         self._register_metrics()
 
     # -- telemetry ----------------------------------------------------------------
 
-    def _register_metrics(self) -> None:
-        """Expose every component's counters under stable dotted names.
-
-        All registrations are pull-style gauges reading live attributes,
-        so the simulator hot paths carry no metrics bookkeeping; call
-        ``self.metrics.snapshot()`` at any point for a consistent view.
-        """
-        reg = self.metrics
-        reg.gauge("machine.cycles", lambda: self.cycle)
+    def _register_metrics(self) -> MetricsRegistry:
+        reg = super()._register_metrics()
         reg.gauge("machine.instructions_delivered", lambda: self.delivered)
         stats = self.stats
         for f in _dataclass_fields(FrontEndStats):
             reg.gauge(f"frontend.{f.name}",
                       lambda name=f.name: getattr(stats, name))
         self.ftq.register_metrics(reg)
-        reg.gauge("mshr.allocations", lambda: self.mshr.allocations)
-        reg.gauge("mshr.merges", lambda: self.mshr.merges)
-        reg.gauge("mshr.occupancy", lambda: len(self.mshr))
         reg.gauge("bpu.cond_lookups", lambda: self.bpu.cond_lookups)
         reg.gauge("bpu.mispredicts", lambda: self.bpu.mispredicts)
-        self.icache.register_metrics(reg)
-        self.hierarchy.register_metrics(reg)
+        return reg
 
     def profile_report(self) -> Optional[ProfileReport]:
         """The attached profiler's report (None when not profiling)."""
@@ -310,20 +364,13 @@ class Machine(FrontEndBase):
     # -- main loop -------------------------------------------------------------------
 
     def run(self, warmup: int, measure: int,
-            sample_efficiency: bool = True,
-            efficiency_interval: Optional[int] = None) -> SimResult:
+            sample_efficiency: bool = True) -> SimResult:
         """Simulate ``warmup + measure`` instructions; report the measured
-        window. The efficiency sampling interval defaults to ~1/75th of the
+        window. The efficiency sampling interval is ~1/75th of the
         measured window (the paper's 100K cycles is ~1/1000th of its 50M+
         instruction windows; we keep the same spirit at our scale)."""
-        total = warmup + measure
-        if total > len(self.trace):
-            raise ConfigurationError(
-                f"trace has {len(self.trace)} instructions, need {total}"
-            )
-        if efficiency_interval is None:
-            efficiency_interval = max(250, measure // 75)
-        sampler = EfficiencySampler(efficiency_interval)
+        total = self._check_window(len(self.trace), warmup, measure)
+        sampler = EfficiencySampler(max(250, measure // 75))
 
         icache = self.icache
         stats = self.stats
@@ -603,53 +650,32 @@ class Machine(FrontEndBase):
             "misses": self.icache.misses,
             "prefetches": self.stats.prefetches_issued,
             "bpu_lookups": self.bpu.cond_lookups,
-            "bpu_mispredicts": self.bpu.mispredicts,
         }
 
     def _finish(self, warmup_commit: int, snapshot: Optional[dict],
                 measure: int,
                 sampler: Optional[EfficiencySampler]) -> SimResult:
         snapshot = snapshot or {
-            "hits": 0, "misses": 0, "prefetches": 0,
-            "bpu_lookups": 0, "bpu_mispredicts": 0,
+            "hits": 0, "misses": 0, "prefetches": 0, "bpu_lookups": 0,
         }
         stats = self.stats
-        stats.l1i_hits = self.icache.hits - snapshot["hits"]
-        stats.l1i_misses = self.icache.misses - snapshot["misses"]
-        stats.branch_lookups = self.bpu.cond_lookups - snapshot["bpu_lookups"]
         icache = self.icache
+        stats.l1i_hits = icache.hits - snapshot["hits"]
+        stats.l1i_misses = icache.misses - snapshot["misses"]
+        stats.branch_lookups = self.bpu.cond_lookups - snapshot["bpu_lookups"]
         if isinstance(icache, UBSICache):
             stats.l1i_partial_missing = icache.partial_missing
             stats.l1i_partial_overrun = icache.partial_overrun
             stats.l1i_partial_underrun = icache.partial_underrun
-        cycles = max(1, self._last_commit - warmup_commit)
-        if self._rec is not None:
-            self._rec.emit(
-                RUN_SUMMARY, self.cycle,
-                cycles=cycles, instructions=measure,
-                fetch_stall_cycles=stats.fetch_stall_cycles,
-                mispredict_stall_cycles=stats.mispredict_stall_cycles,
-                l1i_hits=stats.l1i_hits, l1i_misses=stats.l1i_misses,
-                partial_misses=stats.partial_misses,
-                branch_mispredicts=stats.branch_mispredicts,
-                btb_resteers=stats.btb_resteers,
-                prefetches_issued=stats.prefetches_issued,
-            )
-        extra = {
-            "block_count": icache.block_count(),
-            "prefetches": stats.prefetches_issued - snapshot["prefetches"],
-            "dram_accesses": self.hierarchy.dram.accesses,
-        }
-        if sampler is not None and not sampler.samples:
-            sampler.force_sample(icache)
-        return SimResult(
-            workload="", config="",
-            instructions=measure,
-            cycles=cycles,
-            frontend=stats,
-            efficiency=sampler.summary() if sampler else None,
-            extra=extra,
-        )
+        efficiency = None
+        if sampler is not None:
+            if not sampler.samples:
+                sampler.force_sample(icache)
+            efficiency = sampler.summary()
+        return self._window_result(
+            stats, measure, warmup_commit, self._last_commit,
+            stats.prefetches_issued - snapshot["prefetches"], {},
+            efficiency)
 
 
 def _config_int(config: str, field: str) -> int:

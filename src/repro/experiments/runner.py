@@ -293,24 +293,16 @@ def _simulate_smt(workload: SMTWorkload, config: str,
     the ordinary trace cache, each becomes one hardware thread of an
     :class:`repro.smt.SMTMachine`, and the composite result carries each
     thread's own :class:`SimResult` under ``extra["threads"]``."""
-    from ..smt import build_smt_machine
+    from ..smt import build_smt_machine, run_corun
 
     if cache is None:
         cache = default_cache()
-    components = workload.component_workloads()
-    traces = [cache.array_trace_for(w) for w in components]
-    windows = [w.windows() for w in components]
+    traces = [cache.array_trace_for(w)
+              for w in workload.component_workloads()]
     machine = build_smt_machine(traces, config, policy=workload.policy)
-    for thread, comp in zip(machine.threads, components):
-        thread.name = comp.name
     t0 = perf_counter()
-    result = machine.run(windows)
+    result = run_corun(machine, workload, config)
     _stamp_throughput(result, perf_counter() - t0)
-    result.workload = workload.name
-    result.config = config
-    for comp, tdict in zip(components, result.extra["threads"]):
-        tdict["workload"] = comp.name
-        tdict["config"] = config
     return result
 
 

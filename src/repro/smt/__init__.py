@@ -11,11 +11,12 @@ N/2 cores using the measured interference matrix (see
 """
 
 from .machine import (ARBITRATION_POLICIES, SMTMachine, THREAD_ADDR_STRIDE,
-                      build_smt_machine)
+                      build_smt_machine, run_corun)
 
 __all__ = [
     "ARBITRATION_POLICIES",
     "SMTMachine",
     "THREAD_ADDR_STRIDE",
     "build_smt_machine",
+    "run_corun",
 ]

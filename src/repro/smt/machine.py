@@ -22,17 +22,19 @@ attribution. Threads are mapped into disjoint address spaces
 the stride only flips tag bits, so threads contend for the same cache
 sets (real conflict misses) while never aliasing each other's blocks.
 
-With a single thread the cycle loop degenerates stage by stage to
-``Machine.run`` and is bit-identical to it — enforced against the pinned
-golden snapshots by ``tests/test_golden_parity.py``.
+The machine is co-run only: it takes two or more threads, and
+single-thread runs use :class:`repro.cpu.machine.Machine`, the one
+single-thread kernel. Co-run results are pinned against golden
+snapshots by ``tests/test_golden_parity.py``.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
+from dataclasses import fields
 from time import perf_counter
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Deque, List, Optional, Sequence, Tuple
 
 from ..cpu.machine import (_FTQ_SAMPLE_MASK, _HIT, _STALL_BACKEND,
                            _STALL_MISS, _STALL_NAMES, _STALL_RESTEER,
@@ -47,19 +49,19 @@ from ..memory.hierarchy import MemoryHierarchy
 from ..memory.icache import InstructionCacheBase, MissKind
 from ..params import MachineParams
 from ..stats.counters import FrontEndStats, SimResult
-from ..stats.efficiency import EfficiencySampler
 from ..telemetry import (
     FTQ as EV_FTQ,
     L1I as EV_L1I,
     MSHR as EV_MSHR,
-    RUN_SUMMARY,
     STALL as EV_STALL,
     Telemetry,
 )
 from ..telemetry.metrics import MetricsRegistry
 from ..trace.arrays import ArrayTrace, as_array_trace
 from ..trace.record import Instruction
-from ..core.ubs_cache import UBSICache
+
+if TYPE_CHECKING:
+    from ..trace.workloads import SMTWorkload
 
 #: Fetch-arbitration policies understood by :class:`SMTMachine`.
 ARBITRATION_POLICIES = ("rr", "icount")
@@ -116,8 +118,8 @@ class HardwareThread:
         self.measuring = False
         self.warmup_commit = 0
         self.last_commit = 0
-        self.snapshot: Optional[dict] = None
-        self.sampler: Optional[EfficiencySampler] = None
+        self.warmup_prefetches = 0    # counters at the warm-up boundary
+        self.warmup_lookups = 0
         self.arb_lost_cycles = 0
         self.finished = False
         self.result: Optional[SimResult] = None
@@ -132,12 +134,11 @@ class HardwareThread:
 
 
 class SMTMachine(FrontEndBase):
-    """N hardware threads on one core with a shared front end.
+    """N >= 2 hardware threads on one core with a shared front end.
 
     ``traces`` is one instruction stream per thread, each converted once
-    to :class:`ArrayTrace` (an ``ArrayTrace`` is used as is). With a
-    single trace the machine reduces exactly to
-    :class:`repro.cpu.machine.Machine`.
+    to :class:`ArrayTrace` (an ``ArrayTrace`` is used as is). A single
+    thread is :class:`repro.cpu.machine.Machine`'s job.
     """
 
     def __init__(self, traces: Sequence[Sequence[Instruction]],
@@ -145,8 +146,10 @@ class SMTMachine(FrontEndBase):
                  params: Optional[MachineParams] = None,
                  telemetry: Optional[Telemetry] = None,
                  policy: str = "rr") -> None:
-        if not traces:
-            raise ConfigurationError("SMTMachine needs at least one trace")
+        if len(traces) < 2:
+            raise ConfigurationError(
+                f"SMTMachine needs at least two traces, got {len(traces)} "
+                "(single-thread runs use repro.cpu.machine.Machine)")
         if policy not in ARBITRATION_POLICIES:
             raise ConfigurationError(
                 f"unknown arbitration policy {policy!r} "
@@ -162,21 +165,15 @@ class SMTMachine(FrontEndBase):
         self._ftq_capacity = self.params.core.ftq_entries
         self._ftq_occ = 0
         self._live: List[HardwareThread] = []
-
-        self.metrics = MetricsRegistry()
         self._register_metrics()
 
     # -- telemetry ----------------------------------------------------------------
 
-    def _register_metrics(self) -> None:
-        reg = self.metrics
-        reg.gauge("machine.cycles", lambda: self.cycle)
+    def _register_metrics(self) -> MetricsRegistry:
+        reg = super()._register_metrics()
         reg.gauge("machine.threads", lambda: self.n_threads)
         reg.gauge("ftq.occupancy", lambda: self._ftq_occ)
         reg.gauge("ftq.capacity", lambda: self._ftq_capacity)
-        reg.gauge("mshr.allocations", lambda: self.mshr.allocations)
-        reg.gauge("mshr.merges", lambda: self.mshr.merges)
-        reg.gauge("mshr.occupancy", lambda: len(self.mshr))
         for t in self.threads:
             prefix = f"thread.{t.tid}"
             reg.gauge(f"{prefix}.instructions_delivered",
@@ -184,8 +181,7 @@ class SMTMachine(FrontEndBase):
             reg.gauge(f"{prefix}.ftq_occupancy", lambda t=t: len(t.ftq_q))
             reg.gauge(f"{prefix}.arb_lost_cycles",
                       lambda t=t: t.arb_lost_cycles)
-        self.icache.register_metrics(reg)
-        self.hierarchy.register_metrics(reg)
+        return reg
 
     # -- per-cycle stages ---------------------------------------------------------
 
@@ -212,8 +208,8 @@ class SMTMachine(FrontEndBase):
 
         One shared prefetch budget per cycle; issues rotate round-robin
         across threads with work. Probe/merge pops cost no budget and do
-        not rotate (matching the solo machine, where they are skipped
-        within the same cycle's scan).
+        not rotate (matching ``Machine``, where they are skipped within the
+        same cycle's scan).
         """
         mshr = self.mshr
         probe = self.icache.probe_range
@@ -258,39 +254,24 @@ class SMTMachine(FrontEndBase):
 
     # -- main loop -------------------------------------------------------------------
 
-    def run(self, windows: Sequence[Tuple[int, int]],
-            sample_efficiency: bool = True,
-            efficiency_interval: Optional[int] = None) -> SimResult:
+    def run(self, windows: Sequence[Tuple[int, int]]) -> SimResult:
         """Simulate every thread's ``(warmup, measure)`` window.
 
-        Solo (one thread): returns a result bit-identical to
-        ``Machine.run(warmup, measure)``, including the efficiency
-        samples. Co-run: returns a composite result — summed front-end
-        stats, ``instructions`` the summed measured windows, ``cycles``
-        the longest per-thread measured span — with each thread's own
-        :class:`SimResult` under ``extra["threads"]``. Efficiency
-        sampling only applies to solo runs (the shared cache cannot be
-        attributed per thread).
+        Returns a composite result — summed front-end stats,
+        ``instructions`` the summed measured windows, ``cycles`` the
+        longest per-thread measured span — with each thread's own
+        :class:`SimResult` under ``extra["threads"]``. No efficiency is
+        sampled: the shared cache cannot be attributed per thread.
         """
         threads = self.threads
         if len(windows) != len(threads):
             raise ConfigurationError(
                 f"{len(windows)} windows for {len(threads)} threads")
-        solo = len(threads) == 1
         for t, (warmup, measure) in zip(threads, windows):
-            total = warmup + measure
-            if total > len(t.trace):
-                raise ConfigurationError(
-                    f"thread {t.tid}: trace has {len(t.trace)} "
-                    f"instructions, need {total}")
-            t.total = total
+            t.total = self._check_window(len(t.trace), warmup, measure,
+                                         f"thread {t.tid}: ")
             t.measure = measure
             t.warmup_boundary = warmup if warmup > 0 else 1
-            if solo and sample_efficiency:
-                interval = efficiency_interval
-                if interval is None:
-                    interval = max(250, measure // 75)
-                t.sampler = EfficiencySampler(interval)
 
         icache = self.icache
         icache.recording = False
@@ -320,7 +301,7 @@ class SMTMachine(FrontEndBase):
                     t.pending_resteer = None
             # The BPU build port serves one thread per cycle, round-robin
             # over eligible threads (builder has work and the FTQ pool has
-            # room). Solo: identical to the single machine's BPU stage.
+            # room).
             if self._ftq_occ < ftq_capacity:
                 n_live = len(live)
                 for k in range(n_live):
@@ -384,39 +365,23 @@ class SMTMachine(FrontEndBase):
                     for t in fetchable:
                         if t is not winner and t.measuring:
                             t.arb_lost_cycles += 1
-                delivered_chunk = self._fetch_step(winner, cycle, lookup,
-                                                   solo, rec, rec_hits)
-                if delivered_chunk:
-                    sampler = winner.sampler
-                    if sampler is not None and winner.measuring \
-                            and sample_efficiency \
-                            and cycle >= sampler._next_sample:
-                        sampler.maybe_sample(icache, cycle)
-                    if winner.delivered >= winner.total:
-                        self._retire(winner)
+                if self._fetch_step(winner, cycle, lookup, rec, rec_hits) \
+                        and winner.delivered >= winner.total:
+                    self._retire(winner)
             elif all_blocked:
                 cycle = self._skip_stalls(cycle)
-                t0 = live[0]
-                sampler = t0.sampler
-                if sampler is not None and t0.measuring \
-                        and sample_efficiency \
-                        and cycle >= sampler._next_sample:
-                    sampler.maybe_sample(icache, cycle)
             cycle += 1
 
         self.cycle = cycle
         self.wall_seconds = perf_counter() - wall_start
         for t in threads:
-            t.result = self._finish_thread(t, solo,
-                                           sample_efficiency and solo)
-        if solo:
-            return threads[0].result
+            t.result = self._finish_thread(t)
         return self._composite_result()
 
     # -- fetch stage --------------------------------------------------------------
 
     def _fetch_step(self, t: HardwareThread, cycle: int, lookup,
-                    solo: bool, rec, rec_hits: bool) -> bool:
+                    rec, rec_hits: bool) -> bool:
         """One fetch-port cycle for ``t``; True when a chunk delivered."""
         cur = t.cur
         if cur is None:
@@ -457,13 +422,12 @@ class SMTMachine(FrontEndBase):
             t.blocked_kind = _STALL_MISS
             if t.measuring:
                 t.stats.fetch_stall_cycles += 1
-                if not solo:
-                    self._count_miss(t, result.kind)
+                self._count_miss(t, result.kind)
                 if rec is not None:
                     rec.emit(EV_STALL, cycle, cause="miss", cycles=1,
                              pc=cur_byte, thread=t.tid)
             return False
-        if not solo and t.measuring:
+        if t.measuring:
             t.stats.l1i_hits += 1
         if rec_hits:
             rec.emit(EV_L1I, cycle, result="HIT", pc=cur_byte,
@@ -480,13 +444,14 @@ class SMTMachine(FrontEndBase):
         if not t.measuring and n_accept \
                 and t.delivered + n_accept >= t.warmup_boundary:
             # The warm-up boundary falls inside this chunk: split it so
-            # the snapshot lands on the exact instruction.
+            # the window opens on the exact instruction.
             n1 = t.warmup_boundary - t.delivered
             last_complete, t.last_commit = accept(trace, base, n1, cycle)
             t.delivered += n1
             t.measuring = True
             t.warmup_commit = t.last_commit
-            self._at_boundary(t, cycle, solo)
+            t.warmup_prefetches = t.stats.prefetches_issued
+            t.warmup_lookups = t.bpu.cond_lookups
             n2 = n_accept - n1
             if n2:
                 last_complete, t.last_commit = accept(trace, base + n1, n2,
@@ -520,12 +485,12 @@ class SMTMachine(FrontEndBase):
 
     @staticmethod
     def _count_miss(t: HardwareThread, kind: MissKind) -> None:
-        """Per-thread miss attribution for co-runs.
+        """Per-thread miss attribution.
 
-        Solo runs read the shared cache's own counters (snapshot-delta,
-        exactly like ``Machine``); co-runs cannot — both threads bump the
-        same counters — so misses are classified here from the lookup
-        result, which corresponds 1:1 with what the cache counts.
+        ``Machine`` reads the cache's own counters (snapshot-delta); a
+        co-run cannot — every thread bumps the same counters — so misses
+        are classified here from the lookup result, which corresponds
+        1:1 with what the cache counts.
         """
         stats = t.stats
         stats.l1i_misses += 1
@@ -536,35 +501,13 @@ class SMTMachine(FrontEndBase):
         elif kind is MissKind.UNDERRUN:
             stats.l1i_partial_underrun += 1
 
-    def _at_boundary(self, t: HardwareThread, cycle: int,
-                     solo: bool) -> None:
-        """Open ``t``'s measured window (warm-up boundary just crossed)."""
-        icache = self.icache
-        if solo:
-            icache.recording = True
-            icache.reset_stats()
-            t.snapshot = {
-                "hits": icache.hits,
-                "misses": icache.misses,
-                "prefetches": t.stats.prefetches_issued,
-                "bpu_lookups": t.bpu.cond_lookups,
-                "bpu_mispredicts": t.bpu.mispredicts,
-            }
-        else:
-            t.snapshot = {
-                "prefetches": t.stats.prefetches_issued,
-                "bpu_lookups": t.bpu.cond_lookups,
-            }
-        if t.sampler is not None:
-            t.sampler.reset(cycle)
-
     # -- helpers -----------------------------------------------------------------------
 
     def _skip_stalls(self, cycle: int) -> int:
         """Fast-forward when every live thread is blocked and every
         builder is idle; accrues the skipped cycles to each thread under
-        its own stall kind. Event timing is unchanged — identical to the
-        solo machine's ``_maybe_skip`` generalised over threads."""
+        its own stall kind. Event timing is unchanged — identical to
+        ``Machine._maybe_skip`` generalised over threads."""
         live = self._live
         ftq_full = self._ftq_occ >= self._ftq_capacity
         for t in live:
@@ -598,7 +541,7 @@ class SMTMachine(FrontEndBase):
 
     def _retire(self, t: HardwareThread) -> None:
         """A thread hit its instruction total: release its shared-pool
-        claims so the survivors run effectively solo."""
+        claims so the survivors share the whole front end."""
         t.finished = True
         self._live.remove(t)
         self._ftq_occ -= len(t.ftq_q)
@@ -609,72 +552,19 @@ class SMTMachine(FrontEndBase):
 
     # -- results -----------------------------------------------------------------------
 
-    def _finish_thread(self, t: HardwareThread, solo: bool,
-                       sampled: bool) -> SimResult:
-        snapshot = t.snapshot or {
-            "hits": 0, "misses": 0, "prefetches": 0,
-            "bpu_lookups": 0, "bpu_mispredicts": 0,
-        }
+    def _finish_thread(self, t: HardwareThread) -> SimResult:
         stats = t.stats
-        icache = self.icache
-        if solo:
-            stats.l1i_hits = icache.hits - snapshot["hits"]
-            stats.l1i_misses = icache.misses - snapshot["misses"]
-            if isinstance(icache, UBSICache):
-                stats.l1i_partial_missing = icache.partial_missing
-                stats.l1i_partial_overrun = icache.partial_overrun
-                stats.l1i_partial_underrun = icache.partial_underrun
-        stats.branch_lookups = t.bpu.cond_lookups - snapshot["bpu_lookups"]
-        cycles = max(1, t.last_commit - t.warmup_commit)
-        if self._rec is not None:
-            self._rec.emit(
-                RUN_SUMMARY, self.cycle,
-                cycles=cycles, instructions=t.measure,
-                fetch_stall_cycles=stats.fetch_stall_cycles,
-                mispredict_stall_cycles=stats.mispredict_stall_cycles,
-                l1i_hits=stats.l1i_hits, l1i_misses=stats.l1i_misses,
-                partial_misses=stats.partial_misses,
-                branch_mispredicts=stats.branch_mispredicts,
-                btb_resteers=stats.btb_resteers,
-                prefetches_issued=stats.prefetches_issued,
-                thread=t.tid,
-            )
-        extra = {
-            "block_count": icache.block_count(),
-            "prefetches": stats.prefetches_issued - snapshot["prefetches"],
-            "dram_accesses": self.hierarchy.dram.accesses,
-        }
-        if not solo:
-            extra["thread"] = t.tid
-            extra["arb_lost_cycles"] = t.arb_lost_cycles
-        sampler = t.sampler
-        if sampled and sampler is not None and not sampler.samples:
-            sampler.force_sample(icache)
-        return SimResult(
-            workload="", config="",
-            instructions=t.measure,
-            cycles=cycles,
-            frontend=stats,
-            efficiency=sampler.summary() if (sampled and sampler) else None,
-            extra=extra,
-        )
+        stats.branch_lookups = t.bpu.cond_lookups - t.warmup_lookups
+        return self._window_result(
+            stats, t.measure, t.warmup_commit, t.last_commit,
+            stats.prefetches_issued - t.warmup_prefetches, t.tag,
+            thread=t.tid, arb_lost_cycles=t.arb_lost_cycles)
 
     def _composite_result(self) -> SimResult:
         threads = self.threads
-        combined = FrontEndStats()
-        for t in threads:
-            src = t.stats
-            combined.fetch_stall_cycles += src.fetch_stall_cycles
-            combined.mispredict_stall_cycles += src.mispredict_stall_cycles
-            combined.l1i_hits += src.l1i_hits
-            combined.l1i_misses += src.l1i_misses
-            combined.l1i_partial_missing += src.l1i_partial_missing
-            combined.l1i_partial_overrun += src.l1i_partial_overrun
-            combined.l1i_partial_underrun += src.l1i_partial_underrun
-            combined.prefetches_issued += src.prefetches_issued
-            combined.branch_lookups += src.branch_lookups
-            combined.branch_mispredicts += src.branch_mispredicts
-            combined.btb_resteers += src.btb_resteers
+        combined = FrontEndStats(**{
+            f.name: sum(getattr(t.stats, f.name) for t in threads)
+            for f in fields(FrontEndStats)})
         return SimResult(
             workload="", config="",
             instructions=sum(t.measure for t in threads),
@@ -708,3 +598,20 @@ def build_smt_machine(traces: Sequence[Sequence[Instruction]], config: str,
     base, params = split_machine_config(config)
     return SMTMachine(traces, build_icache(base), params=params,
                       telemetry=telemetry, policy=policy)
+
+
+def run_corun(machine: SMTMachine, workload: "SMTWorkload",
+              config: str) -> SimResult:
+    """Run ``workload``'s component windows on ``machine`` — built from
+    the component traces in order — and label the composite and each
+    thread's result with its workload and ``config``."""
+    components = workload.component_workloads()
+    for thread, comp in zip(machine.threads, components):
+        thread.name = comp.name
+    result = machine.run([w.windows() for w in components])
+    result.workload = workload.name
+    result.config = config
+    for comp, tdict in zip(components, result.extra["threads"]):
+        tdict["workload"] = comp.name
+        tdict["config"] = config
+    return result

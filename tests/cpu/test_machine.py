@@ -8,6 +8,7 @@ from repro.errors import ConfigurationError
 from repro.memory.distillation import DistillationICache
 from repro.memory.icache import ConventionalICache
 from repro.memory.small_block import SmallBlockICache
+from repro.smt import SMTMachine
 from repro.trace.record import Instruction, InstrKind
 from repro.trace.synthesis import generate_trace
 
@@ -71,6 +72,20 @@ class TestStraightLine:
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigurationError):
             Machine([], build_icache("conv32"))
+
+    @pytest.mark.parametrize("warmup,measure", [(100, -5), (-10, 100)])
+    @pytest.mark.parametrize("smt", [False, True], ids=["solo", "smt"])
+    def test_negative_window_rejected(self, smt, warmup, measure):
+        trace = straight_trace(500)
+        if smt:
+            machine = SMTMachine([trace, trace], build_icache("conv32"))
+            with pytest.raises(ConfigurationError,
+                               match="thread 1: negative window"):
+                machine.run([(0, 100), (warmup, measure)])
+        else:
+            machine = Machine(trace, build_icache("conv32"))
+            with pytest.raises(ConfigurationError, match="negative window"):
+                machine.run(warmup, measure)
 
 
 class TestSyntheticWorkload:

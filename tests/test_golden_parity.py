@@ -6,7 +6,8 @@ has to stay bit-identical for the same workload, configuration and
 ``REPRO_SCALE``. The golden files under ``tests/golden/parity/`` were
 recorded before the optimization pass of PR 3; this test re-simulates
 each pinned (workload, config) pair and compares the full result dict —
-counters, efficiency summary and extras — key for key.
+counters, efficiency summary and extras — key for key. The ``smt_*``
+goldens pin two-thread co-runs the same way.
 
 Regenerate the goldens (only after an *intentional* semantics change,
 together with a ``RESULTS_VERSION`` bump) with::
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cpu.machine import Machine, build_icache
 from repro.errors import ConfigurationError
 from repro.trace.arrays import ArrayTrace
@@ -157,30 +159,35 @@ class TestEdgeTraces:
         self._assert_pinned("all_branch_kinds")
 
 
-@pytest.mark.parametrize("workload,config", GOLDEN_PAIRS)
-def test_smt_solo_bit_identical_to_golden(workload, config):
-    """A single-thread ``repro.smt`` run must be bit-identical to
-    ``Machine.run`` on every pinned golden: the SMT cycle loop reduces
-    stage by stage to the solo machine when only one hardware thread is
-    live, so SMT plumbing can never perturb solo results."""
-    from repro.smt import build_smt_machine
+#: SMT co-runs pinned the same way: both arbitration policies x the two
+#: headline configurations.
+CORUN_PAIRS = [
+    (workload, config)
+    for workload in ("smt:server_000+client_000",
+                     "smt:server_000+client_000@icount")
+    for config in ("conv32", "ubs")
+]
 
-    path = _golden_path(workload, config)
-    if not path.exists():
-        pytest.skip(f"golden {path.name} not recorded yet")
-    wl = get_workload(workload)
-    trace = ArrayTrace.from_instructions(wl.generate())
-    warmup, measure = wl.windows()
-    machine = build_smt_machine([trace], config)
-    result = machine.run([(warmup, measure)])
-    result.workload = workload
-    result.config = config
-    produced = result.to_dict()
+
+@pytest.mark.parametrize("workload,config", CORUN_PAIRS)
+def test_smt_corun_bit_identical_to_golden(workload, config):
+    """A two-thread ``repro.smt`` co-run reproduces its golden key for
+    key: the composite counters and every thread's own result under
+    ``extra["threads"]``."""
+    path = _golden_path(workload.replace(":", "_"), config)
+    produced = repro.simulate(workload, config).to_dict()
+    if os.environ.get("REPRO_UPDATE_GOLDENS"):
+        GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(produced, indent=1, sort_keys=True) + "\n")
+        pytest.skip(f"golden updated: {path.name}")
+    assert path.exists(), (
+        f"missing golden {path.name}; run with REPRO_UPDATE_GOLDENS=1"
+    )
     golden = json.loads(path.read_text())
     assert produced == golden, (
-        f"{workload}/{config} drifted between SMTMachine (solo) and the "
-        "golden recorded by Machine.run — the SMT loop is no longer "
-        "bit-identical in single-thread mode"
+        f"{workload}/{config} drifted from its golden — SMT co-run "
+        "semantics changed (if intentional, bump RESULTS_VERSION and "
+        "regenerate with REPRO_UPDATE_GOLDENS=1)"
     )
 
 

@@ -2,9 +2,9 @@
 behaviour, per-thread stall reconciliation, workload naming, interference
 matrices and contention-aware pairing.
 
-Solo-mode bit-parity with ``Machine.run`` lives in
-``tests/test_golden_parity.py``; this file covers everything only a
-*dual* run exercises.
+``SMTMachine`` is co-run only (single-thread runs are ``Machine``'s);
+its golden parity lives in ``tests/test_golden_parity.py``. Solo
+baselines here come from ``Machine``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.cpu.machine import build_icache
+from repro.cpu.machine import Machine, build_icache
 from repro.errors import ConfigurationError
 from repro.smt import (ARBITRATION_POLICIES, SMTMachine, THREAD_ADDR_STRIDE,
                        build_smt_machine)
@@ -60,8 +60,13 @@ class TestCoRunBasics:
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ConfigurationError, match="arbitration policy"):
-            SMTMachine([_stream(100)], build_icache("conv32"),
+            SMTMachine([_stream(100), _stream(100)], build_icache("conv32"),
                        policy="lottery")
+
+    @pytest.mark.parametrize("n_traces", [0, 1])
+    def test_fewer_than_two_traces_rejected(self, n_traces):
+        with pytest.raises(ConfigurationError, match="at least two traces"):
+            SMTMachine([_stream(100)] * n_traces, build_icache("conv32"))
 
     def test_window_count_must_match_threads(self):
         machine = SMTMachine([_stream(100), _stream(100)],
@@ -70,9 +75,10 @@ class TestCoRunBasics:
             machine.run([(10, 50)])
 
     def test_window_must_fit_trace(self):
-        machine = SMTMachine([_stream(100)], build_icache("conv32"))
-        with pytest.raises(ConfigurationError, match="need"):
-            machine.run([(50, 100)])
+        machine = SMTMachine([_stream(100), _stream(200)],
+                             build_icache("conv32"))
+        with pytest.raises(ConfigurationError, match="thread 0: .*need"):
+            machine.run([(50, 100), (50, 100)])
 
     def test_composite_result_shape(self):
         machine = SMTMachine([_stream(3000), _loop(260)],
@@ -139,8 +145,8 @@ class TestFetchArbitration:
         port whenever the streamer is blocked: the loop's co-run span
         stays close to its solo span instead of scaling with the
         streamer's."""
-        loop_solo = SMTMachine([_loop(1500)], build_icache("conv32"))
-        solo_cycles = loop_solo.run([(600, 12_000)]).cycles
+        loop_solo = Machine(_loop(1500), build_icache("conv32"))
+        solo_cycles = loop_solo.run(600, 12_000).cycles
 
         machine = SMTMachine([_loop(1500), _stream(30_000)],
                              build_icache("conv32"))
@@ -213,8 +219,8 @@ class TestSharedMSHR:
         """Co-running a trace with itself must not *help* it: if the
         stride aliased, thread 1 would hit on thread 0's fills and miss
         less than solo."""
-        solo = SMTMachine([_stream(4000)], build_icache("conv32"))
-        solo_misses = solo.run([(400, 3000)]).frontend.l1i_misses
+        solo = Machine(_stream(4000), build_icache("conv32"))
+        solo_misses = solo.run(400, 3000).frontend.l1i_misses
 
         machine = SMTMachine([_stream(4000), _stream(4000)],
                              build_icache("conv32"))
