@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
@@ -100,7 +99,7 @@ class Evaluator:
                  baseline: str = "conv32", jobs: int = 1,
                  cache=None, journal: Optional[SearchJournal] = None,
                  journaled: Optional[Dict[str, dict]] = None,
-                 profiler=None, obs=None, engine=None) -> None:
+                 obs=None, engine=None) -> None:
         if not workloads:
             raise ConfigurationError("evaluator needs at least one workload")
         self.space = space
@@ -111,7 +110,7 @@ class Evaluator:
         # pairs through a warm daemon) replaces the local sweep engine;
         # anything with SweepEngine's run()/pairs_simulated surface fits.
         self.engine = engine if engine is not None else SweepEngine(
-            jobs=jobs, cache=cache, profiler=profiler, obs=obs)
+            jobs=jobs, cache=cache, obs=obs)
         self.pairs_simulated = 0
         self.evals_resumed = 0
         self._journaled: Dict[str, dict] = dict(journaled or {})
@@ -365,7 +364,7 @@ def run_search(space: DesignSpace, strategy: SearchStrategy,
                objective: str = "speedup", baseline: str = "conv32",
                jobs: int = 1, seed: int = 0, cache=None,
                journal: Optional[SearchJournal] = None,
-               recorder=None, profiler=None, obs=None, engine=None,
+               recorder=None, obs=None, engine=None,
                progress: Optional[ProgressFn] = None) -> SearchOutcome:
     """Run one budget-constrained search to completion.
 
@@ -375,7 +374,8 @@ def run_search(space: DesignSpace, strategy: SearchStrategy,
     (zero re-simulation for completed points). ``obs`` (a
     :class:`repro.obs.RunObs` / :class:`~repro.obs.ProgressObs`) wraps
     every generation in a ``genNNN`` span and threads through the sweep
-    engine, so a search's span tree nests generation → sweep → pair.
+    engine, so a search's span tree nests generation → sweep → pair;
+    a ``genNNN`` span's duration is that generation's wall time.
     ``engine`` injects a ready-made engine (e.g. a
     :class:`repro.service.RemoteEngine` so every generation runs on a
     warm daemon) in place of the local ``SweepEngine(jobs=...)``;
@@ -398,7 +398,7 @@ def run_search(space: DesignSpace, strategy: SearchStrategy,
                          objective=objective, baseline=baseline))
     evaluator = Evaluator(space, workloads, baseline=baseline, jobs=jobs,
                           cache=cache, journal=journal, journaled=journaled,
-                          profiler=profiler, obs=obs, engine=engine)
+                          obs=obs, engine=engine)
     rng = random.Random(seed)
     outcome = SearchOutcome(strategy=strategy.name, objective=objective)
     records = outcome.records
@@ -438,20 +438,12 @@ def run_search(space: DesignSpace, strategy: SearchStrategy,
             if pending:
                 continue
             break
-        t0 = perf_counter()
         if obs is not None:
             with obs.span(f"gen{generation:03d}", strategy=strategy.name,
                           points=len(batch)):
                 new = evaluator.evaluate(batch)
         else:
             new = evaluator.evaluate(batch)
-        if profiler is not None:
-            stage = f"dse.gen{generation:03d}"
-            elapsed = perf_counter() - t0
-            profiler.stage_seconds[stage] = \
-                profiler.stage_seconds.get(stage, 0.0) + elapsed
-            profiler.stage_calls[stage] = \
-                profiler.stage_calls.get(stage, 0) + 1
         records.extend(new)
         best = max(records,
                    key=lambda r: (objective_score(r, objective), r.key)) \

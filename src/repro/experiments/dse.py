@@ -28,7 +28,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List
 
 from ..dse import (
     DesignSpace,
@@ -42,8 +42,8 @@ from ..dse import (
 )
 from ..trace.workloads import scale_factor, workload_names
 from ..viz import scatter_plot
+from .pool import add_engine_arguments, campaign
 from .report import format_table
-from .runner import default_cache
 
 #: Default workload selection: the family the paper's headline front-end
 #: stall numbers come from (and the cheapest to keep a search tractable).
@@ -181,9 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget-evals", type=int, default=40, metavar="N",
                         help="stop after N evaluated design points "
                              "(journaled points count; default: 40)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="J",
-                        help="sweep-engine worker processes (default: 1); "
-                             "does not affect results")
+    add_engine_arguments(parser)
     parser.add_argument("--seed", type=int, default=0, metavar="S")
     parser.add_argument("--out", required=True, metavar="DIR",
                         help="output directory (journal.jsonl, report.txt, "
@@ -203,19 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         help="write search-progress telemetry events as "
                              "JSONL")
-    parser.add_argument("--profile", action="store_true",
-                        help="print per-generation wall-clock stages")
-    parser.add_argument("--obs-dir", default=None, metavar="DIR",
-                        help="write run observability artifacts (manifest, "
-                             "span trace, heartbeats, metrics) into DIR; "
-                             "defaults to $REPRO_OBS_DIR, off when neither "
-                             "is set")
-    parser.add_argument("--server", default=None, metavar="ADDR",
-                        help="evaluate generations through a running "
-                             "simulation daemon (unix:/path or host:port; "
-                             "see docs/service.md); defaults to "
-                             "$REPRO_SERVER, local execution when neither "
-                             "is set or the daemon does not answer")
     return parser
 
 
@@ -234,72 +219,29 @@ def main(argv: List[str]) -> int:
     if opts.trace_out is not None:
         from ..telemetry import EventTrace
         recorder = EventTrace()
-    profiler = None
-    if opts.profile:
-        from ..telemetry import StageProfiler
-        profiler = StageProfiler()
 
     def progress(generation: int, new, done: int, budget: int) -> None:
         resumed = sum(1 for r in new if r.resumed)
         print(f"[gen {generation}] +{len(new)} points "
               f"({resumed} from journal) -> {done}/{budget}", flush=True)
 
-    from ..obs import ProgressObs, RunObs, SweepProgress, resolve_obs_dir
-
-    obs_dir = resolve_obs_dir(opts.obs_dir)
-    if obs_dir is not None:
-        obs = RunObs.create(
-            obs_dir, "dse", argv=["dse"] + list(argv),
-            config={"strategy": opts.strategy, "seed": opts.seed,
-                    "budget_evals": opts.budget_evals,
-                    "jobs": max(1, opts.jobs),
-                    "workloads": workloads, "objective": opts.objective})
-    else:
-        obs = ProgressObs(SweepProgress())
-
-    engine = None
-    server = opts.server or os.environ.get("REPRO_SERVER")
-    if server:
-        from ..service import RemoteEngine, probe
-
-        info = probe(server)
-        if info is None:
-            print(f"service at {server} not answering; "
-                  f"running locally", flush=True)
-        else:
-            engine = RemoteEngine(server, obs=obs)
-            print(f"routing through service at {server} "
-                  f"(pid {info.get('pid')}, jobs={info.get('jobs')})",
-                  flush=True)
-
-    status = "OK"
-    try:
+    manifest = {"strategy": opts.strategy, "seed": opts.seed,
+                "budget_evals": opts.budget_evals, "jobs": opts.jobs,
+                "workloads": workloads, "objective": opts.objective}
+    # The engine's pairs_simulated covers only its last run (generation);
+    # the search totals come from the outcome.
+    totals: dict = {}
+    with campaign(opts, "dse", argv, manifest, lambda _engine: totals) \
+            as (obs, engine):
         outcome = run_search(
             space, strategy, opts.budget_evals, workloads,
             objective=opts.objective, baseline=opts.baseline,
-            jobs=max(1, opts.jobs), seed=opts.seed, cache=default_cache(),
-            journal=journal, recorder=recorder, profiler=profiler,
-            obs=obs, engine=engine, progress=progress)
-    except BaseException:
-        status = "ERROR"
-        raise
-    finally:
-        if engine is not None:
-            engine.close()
-        metrics = None
-        if status == "OK":
-            from ..telemetry import MetricsRegistry
-
-            registry = MetricsRegistry()
-            default_cache().register_metrics(registry)
-            metrics = registry.snapshot()
-            metrics.update({
-                "evaluations": len(outcome.records),
-                "generations": outcome.generations,
-                "pairs_simulated": outcome.pairs_simulated,
-                "evals_resumed": outcome.evals_resumed,
-            })
-        obs.finish(metrics=metrics, status=status)
+            seed=opts.seed, journal=journal, recorder=recorder, obs=obs,
+            engine=engine, progress=progress)
+        totals.update(evaluations=len(outcome.records),
+                      generations=outcome.generations,
+                      pairs_simulated=outcome.pairs_simulated,
+                      evals_resumed=outcome.evals_resumed)
 
     report = render_report(outcome, workloads, opts.seed)
     report_path = os.path.join(opts.out, "report.txt")
@@ -313,10 +255,6 @@ def main(argv: List[str]) -> int:
     if recorder is not None:
         from ..telemetry import write_jsonl
         write_jsonl(recorder, opts.trace_out)
-    if profiler is not None:
-        for stage in sorted(profiler.stage_seconds):
-            print(f"{stage}: {profiler.stage_seconds[stage]:.2f}s "
-                  f"({profiler.stage_calls[stage]} call(s))", flush=True)
 
     print(report)
     print(f"evals {len(outcome.records)} resumed {outcome.evals_resumed} "

@@ -50,16 +50,26 @@ the trace carrier threaded through ``submit`` (plus per-pid heartbeat
 records), so host and workers reconstruct as one tree; worker-side cache
 counter deltas are folded back into the host cache's counters either
 way. All hooks sit at pair granularity behind ``obs is not None``
-guards: runs without an observer are unchanged.
+guards: runs without an observer are unchanged. The observer is the
+engine's only timing hook.
+
+The command-line campaigns (``run_all``, ``smt_matrix``, ``dse``) share
+one setup: :func:`add_engine_arguments` gives each parser ``--jobs``,
+``--obs-dir`` and ``--server``, and :func:`campaign` turns those options
+into an observer plus a local or daemon-backed engine and writes the
+run's final metrics.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import logging
+import os
 from collections import OrderedDict
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from ..stats.counters import SimResult
 from ..trace.arrays import ArrayTrace
@@ -240,10 +250,9 @@ class SweepEngine:
     """
 
     def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
-                 profiler=None, obs=None, persistent: bool = False) -> None:
+                 obs=None, persistent: bool = False) -> None:
         self.jobs = max(1, int(jobs))
         self.cache = cache if cache is not None else default_cache()
-        self.profiler = profiler        # telemetry.StageProfiler or None
         self.obs = obs                  # repro.obs.RunObs or None
         self.persistent = persistent
         self.fill_seconds = 0.0
@@ -286,68 +295,50 @@ class SweepEngine:
             return 0.0
         return self.pairs_simulated * 60.0 / self.fill_seconds
 
-    def _charge(self, stage: str, t0: float) -> None:
-        prof = self.profiler
-        if prof is not None:
-            dt = perf_counter() - t0
-            prof.stage_seconds[stage] = prof.stage_seconds.get(stage, 0) + dt
-            prof.stage_calls[stage] = prof.stage_calls.get(stage, 0) + 1
-
     def run(self, pairs: Iterable[Pair],
             progress: Optional[ProgressFn] = None) -> Dict[Pair, SimResult]:
         """Simulate every missing pair; return results for *all* pairs."""
-        prof = self.profiler
-        if prof is not None:
-            prof.start()
         start = perf_counter()
-        try:
-            ordered: List[Pair] = []
-            seen = set()
-            for pair in pairs:
-                pair = (pair[0], pair[1])
-                if pair not in seen:          # dedup: simulate once, ever
-                    seen.add(pair)
-                    ordered.append(pair)
+        ordered: List[Pair] = []
+        seen = set()
+        for pair in pairs:
+            pair = (pair[0], pair[1])
+            if pair not in seen:          # dedup: simulate once, ever
+                seen.add(pair)
+                ordered.append(pair)
 
-            cache = self.cache
-            results: Dict[Pair, SimResult] = {}
-            todo: List[Pair] = []
-            t0 = perf_counter()
-            for pair in ordered:
-                hit = cache.load(*pair)
-                if hit is not None:
-                    results[pair] = hit
+        cache = self.cache
+        results: Dict[Pair, SimResult] = {}
+        todo: List[Pair] = []
+        for pair in ordered:
+            hit = cache.load(*pair)
+            if hit is not None:
+                results[pair] = hit
+            else:
+                todo.append(pair)
+
+        self.pairs_simulated = len(todo)
+        if todo:
+            estimates = cache.load_estimates()
+            todo.sort(key=lambda p: -expected_cost(p, estimates))
+            obs = self.obs
+            if obs is not None:
+                obs.sweep_started(
+                    todo, len(ordered),
+                    {p: expected_cost(p, estimates) for p in todo},
+                    self.jobs)
+            fresh: Dict[str, float] = {}
+            try:
+                if self.jobs == 1:
+                    self._run_inline(todo, results, fresh, progress)
                 else:
-                    todo.append(pair)
-            self._charge("scan", t0)
-
-            self.pairs_simulated = len(todo)
-            if todo:
-                estimates = cache.load_estimates()
-                todo.sort(key=lambda p: -expected_cost(p, estimates))
-                obs = self.obs
+                    self._run_pool(todo, results, fresh, progress)
+            finally:
                 if obs is not None:
-                    obs.sweep_started(
-                        todo, len(ordered),
-                        {p: expected_cost(p, estimates) for p in todo},
-                        self.jobs)
-                fresh: Dict[str, float] = {}
-                try:
-                    if self.jobs == 1:
-                        self._run_inline(todo, results, fresh, progress)
-                    else:
-                        self._run_pool(todo, results, fresh, progress)
-                finally:
-                    if obs is not None:
-                        obs.sweep_finished(self)
-                t0 = perf_counter()
-                cache.store_estimates(fresh)
-                self._charge("store", t0)
-            self.fill_seconds = perf_counter() - start
-            return results
-        finally:
-            if prof is not None:
-                prof.stop()
+                    obs.sweep_finished(self)
+            cache.store_estimates(fresh)
+        self.fill_seconds = perf_counter() - start
+        return results
 
     # -- inline (jobs == 1) ------------------------------------------------
 
@@ -369,18 +360,14 @@ class SweepEngine:
                 # through the disk cache inside the SMT runner.
                 trace = memo.get(workload)
                 if trace is None:
-                    t0 = perf_counter()
                     trace = cache.array_trace_for(get_workload(workload))
-                    self._charge("trace", t0)
                     memo[workload] = trace
                     while len(memo) > TRACE_MEMO_LIMIT:
                         memo.popitem(last=False)
                 else:
                     memo.move_to_end(workload)
-            t0 = perf_counter()
             result = _simulate(get_workload(workload), config, trace,
                                cache=cache)
-            self._charge("simulate", t0)
             cache.store(result)
             self._note_done(results, estimates, workload, config, result)
             done += 1
@@ -429,14 +416,12 @@ class SweepEngine:
                 return shm.name
             if remaining[workload] < 2 or not cache.trace_exists(workload):
                 return None          # pioneer run, or not worth a segment
-            t0 = perf_counter()
             trace = cache.array_trace_for(get_workload(workload))
             shm = trace.to_shared_memory()
             trace.release()
             published[workload] = shm
             while self.persistent and len(published) > PERSIST_SHM_LIMIT:
                 unpublish(next(iter(published)))
-            self._charge("publish", t0)
             return shm.name
 
         def unpublish(workload: str) -> None:
@@ -465,9 +450,7 @@ class SweepEngine:
                     inflight[future] = (workload, config)
                     if obs is not None:
                         obs.pair_started(workload, config)
-                t0 = perf_counter()
                 completed, _ = wait(inflight, return_when=FIRST_COMPLETED)
-                self._charge("wait", t0)
                 for future in completed:
                     workload, config = inflight.pop(future)
                     _w, _c, payload, delta = future.result()
@@ -512,7 +495,106 @@ class SweepEngine:
 def run_pairs(pairs: Iterable[Pair], jobs: int = 1,
               cache: Optional[ResultCache] = None,
               progress: Optional[ProgressFn] = None,
-              profiler=None, obs=None) -> Dict[Pair, SimResult]:
+              obs=None) -> Dict[Pair, SimResult]:
     """Convenience wrapper: one :class:`SweepEngine` run."""
-    return SweepEngine(jobs=jobs, cache=cache, profiler=profiler,
+    return SweepEngine(jobs=jobs, cache=cache,
                        obs=obs).run(pairs, progress=progress)
+
+
+# -- command-line campaigns ---------------------------------------------------
+
+def fill_totals(engine) -> Dict[str, Any]:
+    """The last fill's totals, as the fill CLIs report them."""
+    return {"pairs_simulated": engine.pairs_simulated,
+            "fill_seconds": round(engine.fill_seconds, 3),
+            "fill_pairs_per_min": round(engine.pairs_per_min, 1)}
+
+
+def positive_int(text: str) -> int:
+    from argparse import ArgumentTypeError
+
+    value = int(text)
+    if value < 1:
+        raise ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def add_engine_arguments(parser) -> None:
+    """Add the options :func:`campaign` reads to an
+    ``argparse.ArgumentParser``: ``--jobs``, ``--obs-dir`` and
+    ``--server``."""
+    parser.add_argument(
+        "--jobs", type=positive_int, default=1, metavar="N",
+        help="worker processes for the sweep engine (default: 1, inline); "
+             "results do not depend on it")
+    parser.add_argument(
+        "--obs-dir", default=None, metavar="DIR",
+        help="write run observability artifacts (manifest, span trace, "
+             "heartbeats, metrics) into DIR; defaults to $REPRO_OBS_DIR, "
+             "off when neither is set")
+    parser.add_argument(
+        "--server", default=None, metavar="ADDR",
+        help="route the simulations through a running simulation daemon "
+             "(unix:/path or host:port; see docs/service.md); defaults "
+             "to $REPRO_SERVER, local execution when neither is set or "
+             "the daemon does not answer")
+
+
+@contextlib.contextmanager
+def campaign(opts, kind: str, argv: Sequence[str], manifest: Dict[str, Any],
+             metrics: Callable[[Any], Dict[str, Any]]):
+    """Observer and engine for one CLI run; yields ``(obs, engine)``.
+
+    ``opts`` carries the :func:`add_engine_arguments` options. The
+    observer is a :class:`repro.obs.RunObs` recording a ``kind`` run
+    (``argv`` and the ``manifest`` settings) into ``--obs-dir`` or
+    ``$REPRO_OBS_DIR``, else a progress-only
+    :class:`repro.obs.ProgressObs`. The engine is a
+    :class:`repro.service.RemoteEngine` when ``--server`` or
+    ``$REPRO_SERVER`` names a daemon that answers, else a local
+    :class:`SweepEngine` with ``--jobs`` workers. On the way out, also
+    when the body raises, the engine is closed and ``obs.finish`` writes
+    the result-cache counters plus ``metrics(engine)``; a clean exit
+    prints the run directory.
+    """
+    from ..obs import ProgressObs, RunObs, SweepProgress, resolve_obs_dir
+    from ..telemetry import MetricsRegistry
+
+    obs_dir = resolve_obs_dir(opts.obs_dir)
+    if obs_dir is not None:
+        obs = RunObs.create(obs_dir, kind, argv=[kind] + list(argv),
+                            config=manifest)
+    else:
+        obs = ProgressObs(SweepProgress())
+    cache = default_cache()
+    server = opts.server or os.environ.get("REPRO_SERVER")
+    if server:
+        from ..service import RemoteEngine, probe
+
+        info = probe(server)
+        if info is None:
+            print(f"service at {server} not answering; running locally",
+                  flush=True)
+            server = None
+    if server:
+        engine = RemoteEngine(server, obs=obs)
+        engine.jobs = int(info.get("jobs", 1))
+        print(f"routing through service at {server} "
+              f"(pid {info.get('pid')}, jobs={engine.jobs})", flush=True)
+    else:
+        engine = SweepEngine(jobs=opts.jobs, cache=cache, obs=obs)
+    status = "ERROR"
+    try:
+        yield obs, engine
+        status = "OK"
+    finally:
+        engine.close()
+        registry = MetricsRegistry()
+        cache.register_metrics(registry)
+        snapshot = registry.snapshot()
+        snapshot.update(metrics(engine))
+        if server:
+            snapshot["server"] = server
+        obs.finish(metrics=snapshot, status=status)
+    if obs_dir is not None:
+        print(f"obs: {obs_dir}", flush=True)

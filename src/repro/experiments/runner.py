@@ -24,7 +24,7 @@ import re
 import tempfile
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from ..cpu.machine import build_machine
 from ..memory.icache import ConventionalICache
@@ -346,30 +346,3 @@ def run_pair(workload_name: str, config: str,
     cache.store(result)
     return result
 
-
-def run_config(workloads: Sequence[str], config: str) -> List[SimResult]:
-    """Cached simulation of many workloads against one configuration."""
-    return [run_pair(name, config) for name in workloads]
-
-
-def sweep(workloads: Sequence[str], configs: Sequence[str],
-          jobs: int = 1) -> Dict[Tuple[str, str], SimResult]:
-    """Run the full (workload x config) matrix through the sweep engine.
-
-    With ``jobs == 1`` the engine simulates inline (traces memoised per
-    workload, exactly the old behaviour); with ``jobs > 1`` individual
-    (workload, config) pairs are scheduled onto a process pool with
-    shared-memory trace fan-out (see :mod:`repro.experiments.pool`).
-    """
-    from .pool import SweepEngine
-
-    pairs = [(name, config) for name in workloads for config in configs]
-    return SweepEngine(jobs=jobs, cache=default_cache()).run(pairs)
-
-
-def missing_pairs(workloads: Iterable[str],
-                  configs: Iterable[str]) -> List[Tuple[str, str]]:
-    """Pairs not yet in the cache (used by the prefill CLI)."""
-    cache = default_cache()
-    return [(w, c) for w in workloads for c in configs
-            if cache.load(w, c) is None]

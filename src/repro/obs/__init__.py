@@ -19,7 +19,12 @@ orchestrated run a first-class queryable artifact:
   :class:`~repro.experiments.pool.SweepEngine` (and
   :func:`~repro.dse.search.run_search`) calls at pair/generation
   boundaries, bundling the tracer, the live progress renderer and the
-  result-cache counters;
+  result-cache counters. It is the only host-timing hook of the
+  orchestration layer: a fill's, generation's or pair's wall time is its
+  span's duration. The sweep CLIs build it through
+  :func:`repro.experiments.pool.campaign`; the kernel's stage split
+  (:class:`repro.telemetry.StageProfiler`, ``repro run --profile``) is
+  separate and kernel-only;
 * **live progress** (:mod:`repro.obs.progress`) — a TTY renderer with
   done/total, in-flight pairs, cache hit/miss counts and an ETA derived
   from the ``estimates__s<scale>.json`` sidecar;

@@ -2,7 +2,9 @@
 
 Two observers share one duck-typed hook surface (the methods
 :mod:`repro.experiments.pool` and :mod:`repro.dse.search` call behind
-``obs is not None`` guards):
+``obs is not None`` guards). An observer is the only timing hook those
+layers take; :func:`repro.experiments.pool.campaign` picks one for the
+``run_all``, ``smt_matrix`` and ``dse`` CLIs:
 
 * :class:`ProgressObs` — live progress rendering only; what the CLIs use
   when no ``--obs-dir`` is given, so every interactive fill gets the TTY

@@ -43,6 +43,13 @@ def run_cli(out_dir, cache_dir, *extra, check=True):
     return proc
 
 
+def kill_group(proc):
+    """SIGKILL a CLI started with ``start_new_session=True`` together
+    with its pool workers, which would otherwise outlive it."""
+    os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait()
+
+
 def journal_lines(out_dir):
     lines = (Path(out_dir) / "journal.jsonl").read_text().splitlines()
     return [json.loads(line) for line in lines]
@@ -87,7 +94,7 @@ class TestKillResume:
         # been journaled (but before it can finish).
         proc = subprocess.Popen(
             BASE_ARGS + ["--out", str(out), "--jobs", "1"],
-            env=dse_env(cache), cwd=REPO,
+            env=dse_env(cache), cwd=REPO, start_new_session=True,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         try:
             deadline = time.time() + 300
@@ -99,8 +106,7 @@ class TestKillResume:
             else:
                 pytest.fail("journal never gained an evaluation")
         finally:
-            proc.send_signal(signal.SIGKILL)
-            proc.wait()
+            kill_group(proc)
 
         survivors = {r["key"] for r in journal_lines(out)[1:]}
 
@@ -160,6 +166,7 @@ class TestObsDir:
             BASE_ARGS + ["--out", str(out), "--jobs", "2",
                          "--obs-dir", str(obs_dir)],
             env=dse_env(tmp_path / "cache"), cwd=REPO,
+            start_new_session=True,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         try:
             deadline = time.time() + 300
@@ -170,8 +177,7 @@ class TestObsDir:
             else:
                 pytest.fail("no span was ever written")
         finally:
-            proc.send_signal(signal.SIGKILL)
-            proc.wait()
+            kill_group(proc)
 
         spans = read_spans(spans_path)    # must not raise
         assert spans

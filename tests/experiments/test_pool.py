@@ -159,16 +159,6 @@ class TestScheduling:
         assert seen[-1] == (4, 4)
         assert [d for d, _ in seen] == [1, 2, 3, 4]
 
-    def test_profiler_charged(self, tmp_path):
-        from repro.telemetry.profiler import StageProfiler
-        prof = StageProfiler()
-        engine = SweepEngine(jobs=1, cache=ResultCache(tmp_path / "prof"),
-                             profiler=prof)
-        engine.run(PAIRS[:2])
-        assert prof.wall_seconds > 0
-        assert prof.stage_seconds.get("simulate", 0) > 0
-        assert prof.stage_calls["simulate"] == 2
-
 
 class TestHygiene:
     def test_no_shared_memory_leaked(self, tmp_path):

@@ -3,7 +3,8 @@
 import pytest
 
 import repro.experiments.runner as runner_mod
-from repro.experiments.runner import ResultCache, run_pair, sweep
+from repro.experiments.pool import run_pairs
+from repro.experiments.runner import ResultCache, run_pair
 from repro.stats.counters import SimResult
 
 
@@ -83,18 +84,15 @@ class TestCache:
 
 
 class TestSweep:
-    def test_sweep_covers_matrix(self):
-        out = sweep(["client_000"], ["conv32", "ubs"])
-        assert set(out) == {("client_000", "conv32"), ("client_000", "ubs")}
-        for result in out.values():
+    def test_sweep_covers_matrix(self, isolated_cache):
+        matrix = [(w, c) for w in ("client_000", "spec_000")
+                  for c in ("conv32", "ubs")]
+        out = run_pairs(matrix)
+        assert set(out) == set(matrix)
+        for (workload, config), result in out.items():
             assert isinstance(result, SimResult)
-
-    def test_missing_pairs(self):
-        from repro.experiments.runner import missing_pairs
-        assert missing_pairs(["client_000"], ["conv32"]) == \
-            [("client_000", "conv32")]
-        run_pair("client_000", "conv32")
-        assert missing_pairs(["client_000"], ["conv32"]) == []
+            assert (result.workload, result.config) == (workload, config)
+            assert isolated_cache.load(workload, config) is not None
 
 
 class TestCounters:

@@ -245,24 +245,22 @@ def measure_fill(pairs: List[Tuple[str, str]],
 
     Every fill starts from an empty throwaway cache (so trace
     generation, scheduling and shared-memory fan-out are all on the
-    clock) and is instrumented with a StageProfiler; the samples feed
-    the ``fill_pairs_per_min`` campaign-throughput metric.
+    clock) and runs inside a ``fill`` span when ``obs`` is given; the
+    samples feed the ``fill_pairs_per_min`` campaign-throughput metric.
     """
     import shutil
     import tempfile
 
     from repro.experiments.pool import SweepEngine
     from repro.experiments.runner import ResultCache
-    from repro.telemetry.profiler import StageProfiler
 
     span = obs.span if obs is not None else _null_span
     samples: List[Dict] = []
     for jobs in jobs_list:
         root = Path(tempfile.mkdtemp(prefix="perfgate_fill_"))
         try:
-            profiler = StageProfiler()
             engine = SweepEngine(jobs=jobs, cache=ResultCache(root),
-                                 profiler=profiler, obs=obs)
+                                 obs=obs)
             print(f"  filling {len(pairs)} pairs with --jobs {jobs} ...",
                   end=" ", flush=True)
             with span("fill", jobs=jobs, pairs=len(pairs)):
@@ -274,10 +272,6 @@ def measure_fill(pairs: List[Tuple[str, str]],
                 "pairs": engine.pairs_simulated,
                 "fill_seconds": round(engine.fill_seconds, 3),
                 "fill_pairs_per_min": round(engine.pairs_per_min, 1),
-                "stage_seconds": {
-                    k: round(v, 3)
-                    for k, v in profiler.stage_seconds.items()
-                },
             })
         finally:
             shutil.rmtree(root, ignore_errors=True)
