@@ -43,7 +43,6 @@ from .stats import SimResult
 from .telemetry import (
     EventTrace,
     MetricsRegistry,
-    StageProfiler,
     StallAccounting,
     Telemetry,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "SimResult",
     "SimulationError",
     "SmallBlockICache",
-    "StageProfiler",
     "StallAccounting",
     "Telemetry",
     "TraceError",
@@ -99,8 +97,8 @@ def simulate(workload: Union[str, Workload], config: str = "conv32", *,
     ``workload`` is a suite name (e.g. ``"server_003"``) or a
     :class:`~repro.trace.workloads.Workload`; ``config`` is a configuration
     name understood by :func:`~repro.cpu.machine.build_icache`.
-    ``telemetry`` optionally attaches an event recorder and/or stage
-    profiler (see :mod:`repro.telemetry`).
+    ``telemetry`` optionally attaches an event recorder (see
+    :mod:`repro.telemetry`).
     """
     if isinstance(workload, str):
         workload = get_workload(workload)

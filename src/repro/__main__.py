@@ -4,7 +4,7 @@
 
     python -m repro list                      # workload suite
     python -m repro run server_001 ubs        # one simulation
-    python -m repro run server_001 ubs --trace-out t.jsonl --profile
+    python -m repro run server_001 ubs --trace-out t.jsonl
     python -m repro compare server_001 conv32 conv64 ubs
     python -m repro report t.jsonl            # stall-accounting breakdown
     python -m repro models                    # Table III / Table IV
@@ -19,10 +19,10 @@ from typing import List, Optional
 
 from . import build_machine, get_workload
 from .errors import ReproError
+from .experiments.runner import _stamp_throughput
 from .telemetry import (
     EventTrace,
     RUN_SUMMARY,
-    StageProfiler,
     StallAccounting,
     Telemetry,
     write_csv,
@@ -53,6 +53,7 @@ def _run_one(workload_name: str, config: str, trace=None,
     warmup, measure = workload.windows()
     machine = build_machine(trace, config, telemetry=telemetry)
     result = machine.run(warmup, measure)
+    _stamp_throughput(result, machine.wall_seconds)
     result.workload, result.config = workload_name, config
     return result, trace, machine
 
@@ -73,15 +74,9 @@ def _print_result(result, baseline=None) -> None:
 
 
 def _build_telemetry(args) -> Optional[Telemetry]:
-    recorder = None
-    profiler = None
-    if getattr(args, "trace_out", None):
-        recorder = EventTrace(record_hits=args.trace_hits)
-    if getattr(args, "profile", False):
-        profiler = StageProfiler()
-    if recorder is None and profiler is None:
+    if not getattr(args, "trace_out", None):
         return None
-    return Telemetry(recorder, profiler)
+    return Telemetry(EventTrace(record_hits=args.trace_hits))
 
 
 def _export_trace(recorder: EventTrace, result, path: str) -> None:
@@ -99,23 +94,17 @@ def _cmd_run(args) -> int:
     telemetry = _build_telemetry(args)
     result, _, machine = _run_one(args.workload, args.config,
                                   telemetry=telemetry)
-    if telemetry is not None and telemetry.recorder.enabled:
+    if telemetry is not None:
         _export_trace(telemetry.recorder, result, args.trace_out)
     if args.metrics_out:
         with open(args.metrics_out, "w") as fh:
             json.dump(machine.metrics.snapshot(), fh, indent=2,
                       sort_keys=True)
             fh.write("\n")
-    profile = machine.profile_report()
     if args.json:
-        payload = result.to_dict()
-        if profile is not None:
-            payload["profile"] = profile.to_dict()
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(result.to_dict(), indent=2))
     else:
         _print_result(result)
-        if profile is not None:
-            print(profile.format())
     return 0
 
 
@@ -173,8 +162,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "(large traces)")
     p_run.add_argument("--metrics-out", metavar="PATH",
                        help="write the metrics-registry snapshot as JSON")
-    p_run.add_argument("--profile", action="store_true",
-                       help="profile simulator stages and print throughput")
     p_run.add_argument("--json", action="store_true",
                        help="print the result as JSON for scripting")
 

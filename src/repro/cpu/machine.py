@@ -52,7 +52,6 @@ from ..telemetry import (
     Telemetry,
 )
 from ..telemetry.metrics import MetricsRegistry
-from ..telemetry.profiler import ProfileReport
 from ..trace.arrays import as_array_trace
 from ..trace.record import Instruction
 from ..core.configs import ubs_params_for_budget, way_config
@@ -261,7 +260,8 @@ class Machine(FrontEndBase):
         from .backend import Backend
         self.backend = Backend(core, self.hierarchy)
         # Precompute the fused delivery ops while still off the measured
-        # clock (perfgate times run(), not construction).
+        # clock (perfbench's ``cpu.run`` span times run(); construction is
+        # ``cpu.build``).
         self.backend.bind_trace(trace)
 
         self._fdip_queue: Deque[FetchRange] = deque()
@@ -284,13 +284,6 @@ class Machine(FrontEndBase):
         reg.gauge("bpu.cond_lookups", lambda: self.bpu.cond_lookups)
         reg.gauge("bpu.mispredicts", lambda: self.bpu.mispredicts)
         return reg
-
-    def profile_report(self) -> Optional[ProfileReport]:
-        """The attached profiler's report (None when not profiling)."""
-        prof = self.telemetry.profiler
-        if prof is None:
-            return None
-        return prof.report(cycles=self.cycle, instructions=self.delivered)
 
     # -- per-cycle stages ---------------------------------------------------------
 
@@ -378,23 +371,12 @@ class Machine(FrontEndBase):
 
         rec = self._rec
         rec_hits = rec is not None and rec.record_hits
-        prof = self.telemetry.profiler
-        # Stage callables are bound into locals (and wrapped there when
-        # profiling), so unprofiled runs never pay the wrapper cost and no
-        # component instance is ever monkey-patched.
         process_fills = self._process_fills
         run_bpu = self._make_run_bpu()
         run_fdip = self._make_run_fdip()
         maybe_skip = self._maybe_skip
         lookup = icache.lookup
         accept = self.backend.accept_range_arrays
-        if prof is not None:
-            process_fills = prof.wrap("fills", process_fills)
-            run_bpu = prof.wrap("bpu", run_bpu)
-            run_fdip = prof.wrap("fdip", run_fdip)
-            lookup = prof.wrap("fetch", lookup)
-            accept = prof.wrap("backend", accept)
-            prof.start()
         wall_start = perf_counter()
 
         # Fetch state.
@@ -605,8 +587,6 @@ class Machine(FrontEndBase):
         self.cycle = cycle
         self.delivered = delivered
         self._last_commit = last_commit
-        if prof is not None:
-            prof.stop()
         self.wall_seconds = perf_counter() - wall_start
         return self._finish(warmup_commit, warmup_snapshot, measure,
                             sampler if sample_efficiency else None)

@@ -278,8 +278,8 @@ def default_cache() -> ResultCache:
 
 
 def _stamp_throughput(result: SimResult, wall: float) -> None:
-    """Record how fast the run simulated (the host-performance baseline
-    every benchmark JSON carries)."""
+    """Record how fast the run simulated: host wall seconds of
+    ``run()`` and the simulated cycles and instructions per host second."""
     result.extra["sim_wall_seconds"] = round(wall, 6)
     if wall > 0:
         result.extra["sim_cycles_per_sec"] = round(result.cycles / wall)

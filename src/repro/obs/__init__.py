@@ -1,7 +1,7 @@
 """Fleet-level run observability.
 
 Everything *around* the simulator — the sweep engine's process pool, the
-DSE search loop, the perf gate — is orchestration, and orchestration that
+DSE search loop, the co-run matrix — is orchestration, and orchestration that
 cannot be observed cannot be debugged. :mod:`repro.obs` makes every
 orchestrated run a first-class queryable artifact:
 
@@ -22,16 +22,15 @@ orchestrated run a first-class queryable artifact:
   result-cache counters. It is the only host-timing hook of the
   orchestration layer: a fill's, generation's or pair's wall time is its
   span's duration. The sweep CLIs build it through
-  :func:`repro.experiments.pool.campaign`; the kernel's stage split
-  (:class:`repro.telemetry.StageProfiler`, ``repro run --profile``) is
-  separate and kernel-only;
+  :func:`repro.experiments.pool.campaign`. Inside one simulation, the
+  per-layer host-time split is measured by the benchmark harness
+  (``perfbench/run.py --trace 1``, ``host_share.*``), not here;
 * **live progress** (:mod:`repro.obs.progress`) — a TTY renderer with
   done/total, in-flight pairs, cache hit/miss counts and an ETA derived
   from the ``estimates__s<scale>.json`` sidecar;
 * **a CLI** (``python -m repro.obs``) — ``report`` reconstructs the span
   tree with critical-path and self-time rollups, ``tail`` follows a live
-  run, ``regress`` walks the committed ``BENCH_*.json`` chain and flags
-  throughput regressions.
+  run.
 
 Every hook is behind an ``obs is not None`` guard and nothing here runs
 per simulated cycle, so runs without ``--obs-dir`` pay nothing.

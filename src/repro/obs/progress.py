@@ -73,6 +73,7 @@ class SweepProgress:
     def sweep_started(self, todo: List[Pair], total_pairs: int,
                       costs: Dict[Pair, float], jobs: int) -> None:
         self.total = len(todo)
+        self.done = 0
         self.cache_hits = total_pairs - len(todo)
         self.jobs = max(1, jobs)
         self._costs = dict(costs)

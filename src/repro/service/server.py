@@ -1,6 +1,6 @@
 """The simulation daemon: one warm :class:`SweepEngine`, many clients.
 
-Every consumer of the simulator (``run_all``, DSE, the perf gate, CI)
+Every consumer of the simulator (``run_all``, DSE, ``smt_matrix``, CI)
 used to cold-start its own process pool and its own trace memo, throwing
 the warm state away between invocations. :class:`ServiceServer` owns
 that state for as long as the daemon lives:
@@ -66,9 +66,9 @@ from ..obs.hooks import ProgressObs
 from ..obs.spans import SpanWriter, Tracer, read_spans
 from ..trace.workloads import (
     champsim_trace_path,
+    get_workload,
     is_imported_workload,
     scale_factor,
-    workload_names,
 )
 from .protocol import (
     PROTOCOL_VERSION,
@@ -457,17 +457,16 @@ class ServiceServer:
         client instead of poisoning a shared batch."""
         from ..cpu.machine import build_icache, split_machine_config
 
-        known = None
         for workload in {w for w, _c in pairs}:
             if is_imported_workload(workload):
                 path = champsim_trace_path(workload)
                 if not path or not os.path.exists(path):
                     return f"imported trace not found: {workload!r}"
                 continue
-            if known is None:
-                known = set(workload_names())
-            if workload not in known:
-                return f"unknown workload {workload!r}"
+            try:
+                get_workload(workload)   # parses ``smt:`` co-run names too
+            except ConfigurationError as exc:
+                return str(exc)
         for config in {c for _w, c in pairs}:
             try:
                 icache_name, _machine = split_machine_config(config)

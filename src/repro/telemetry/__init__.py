@@ -1,7 +1,7 @@
-"""Telemetry: event tracing, metrics and simulator profiling.
+"""Telemetry: event tracing and metrics.
 
-Three independent facilities, bundled by :class:`Telemetry` for handing
-to a :class:`~repro.cpu.machine.Machine`:
+Two independent facilities of a :class:`~repro.cpu.machine.Machine`;
+:class:`Telemetry` hands it the event recorder:
 
 * **event tracing** (:mod:`repro.telemetry.events`) — typed per-event
   records (stalls with cause, L1-I outcomes, MSHR allocations, predictor
@@ -9,11 +9,9 @@ to a :class:`~repro.cpu.machine.Machine`:
   or CSV and summarised by
   :class:`~repro.telemetry.accounting.StallAccounting`;
 * **metrics** (:mod:`repro.telemetry.metrics`) — a registry of named
-  counters/gauges/histograms each simulator component registers into;
-* **profiling** (:mod:`repro.telemetry.profiler`) — host wall-clock time
-  per simulation stage plus simulated-cycles-per-second throughput.
+  counters/gauges/histograms each simulator component registers into.
 
-The default is :data:`NULL_TELEMETRY` (a null recorder and no profiler):
+The default is :data:`NULL_TELEMETRY` (a null recorder):
 simulation results are bit-identical with and without it, and hot paths
 only pay disabled-flag checks.
 """
@@ -42,7 +40,6 @@ from .events import (
 )
 from .exporters import iter_jsonl, read_jsonl, write_csv, write_jsonl
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .profiler import ProfileReport, StageProfiler
 
 __all__ = [
     "Counter",
@@ -61,12 +58,10 @@ __all__ = [
     "NULL_TELEMETRY",
     "NullRecorder",
     "PREDICTOR",
-    "ProfileReport",
     "RUN_SUMMARY",
     "SEARCH",
     "STALL",
     "STALL_CAUSES",
-    "StageProfiler",
     "StallAccounting",
     "Telemetry",
     "iter_jsonl",
@@ -77,19 +72,17 @@ __all__ = [
 
 
 class Telemetry:
-    """Recorder + optional profiler bundle attached to one machine."""
+    """The event recorder attached to one machine."""
 
-    __slots__ = ("recorder", "profiler")
+    __slots__ = ("recorder",)
 
-    def __init__(self, recorder: Optional[EventRecorder] = None,
-                 profiler: Optional[StageProfiler] = None) -> None:
+    def __init__(self, recorder: Optional[EventRecorder] = None) -> None:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.profiler = profiler
 
     @property
     def enabled(self) -> bool:
-        return self.recorder.enabled or self.profiler is not None
+        return self.recorder.enabled
 
 
-#: Shared default: no events recorded, no profiling.
+#: Shared default: no events recorded.
 NULL_TELEMETRY = Telemetry()

@@ -47,6 +47,16 @@ class TestNonTty:
             progress.pair_done(*pair)
         assert progress.done == 2
 
+    def test_second_sweep_counts_from_one(self):
+        """DSE runs the engine once per generation on one observer."""
+        progress, stream = self._progress()
+        for _sweep in range(2):
+            progress.sweep_started(PAIRS, 2, {}, jobs=1)
+            progress.pair_started(*PAIRS[0])
+            progress.pair_done(*PAIRS[0])
+        lines = stream.getvalue().splitlines()
+        assert lines[3].startswith("[1/2] w1 conv32 (")
+
 
 class TestTty:
     def test_redraws_in_place(self):

@@ -186,6 +186,12 @@ class TestValidationAndLifecycle:
                                pairs=[["no_such_workload", "conv32"]])
         assert server.stats["jobs_submitted"] == 0
 
+    def test_smt_workload_validated_by_components(self):
+        validate = ServiceServer._validate_pairs
+        assert validate([("smt:server_000+client_000", "conv32")]) is None
+        assert validate([("smt:server_000+nope", "conv32")]) \
+            == "unknown workload 'nope'"
+
     def test_bad_config_rejected(self, server):
         with pytest.raises(ServiceError, match="bad config"):
             with ServiceClient(server.address) as client:

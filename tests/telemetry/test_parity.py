@@ -4,7 +4,7 @@ enabled run must produce the same numbers as a plain one."""
 import pytest
 
 from repro import Machine, build_icache, get_workload
-from repro.telemetry import EventTrace, StageProfiler, Telemetry
+from repro.telemetry import EventTrace, Telemetry
 
 
 @pytest.fixture(autouse=True)
@@ -34,16 +34,9 @@ def test_recorder_does_not_change_results(config):
     assert_same_numbers(plain, traced)
 
 
-def test_profiler_does_not_change_results():
-    plain = run("ubs")
-    profiled = run("ubs", Telemetry(profiler=StageProfiler()))
-    assert_same_numbers(plain, profiled)
-
-
 def test_default_telemetry_is_null():
     workload = get_workload("server_000")
     trace = workload.generate()
     machine = Machine(trace, build_icache("ubs"))
     assert machine.telemetry.recorder.enabled is False
-    assert machine.telemetry.profiler is None
     assert machine._rec is None

@@ -61,6 +61,11 @@ class TestCLI:
         monkeypatch.setenv("REPRO_SCALE", "0.02")
         assert main(["run", "spec_000", config, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        # The CLI stamps host throughput into ``extra``; the library
+        # call does not.
+        for key in ("sim_wall_seconds", "sim_cycles_per_sec",
+                    "sim_instrs_per_sec"):
+            del payload["extra"][key]
         assert payload == simulate("spec_000", config).to_dict()
 
     def test_compare_walks_the_bpu_once(self, capsys, monkeypatch):
@@ -135,10 +140,13 @@ class TestTelemetryCLI:
         assert "l1i.hits" in snap
 
     def test_run_profile(self, capsys):
-        assert main(["run", "spec_000", "conv32", "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "cycles/s" in out
-        assert "backend" in out
+        import json
+        assert main(["run", "spec_000", "conv32", "--json"]) == 0
+        extra = json.loads(capsys.readouterr().out)["extra"]
+        assert extra["sim_cycles_per_sec"] > 0
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "spec_000", "conv32", "--profile"])
+        assert exc.value.code == 2
 
     def test_compare_json(self, capsys):
         import json
