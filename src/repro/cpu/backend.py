@@ -76,7 +76,7 @@ class Backend:
         return self._count
 
     def bind_trace(self, trace, addr_offset: int = 0) -> None:
-        """Precompute fused op tuples for a columnar ``trace``.
+        """Bind the fused op tuples of a columnar ``trace``.
 
         Each entry is ``(lat, src1, src2, dst, mem_addr)``: ``lat`` is the
         execution latency for plain ops, ``-1`` for loads and ``-2`` for
@@ -84,48 +84,26 @@ class Backend:
         register fields are pre-masked into scoreboard indices (``-1``
         when the operand is absent). :meth:`accept_range_arrays` then
         does one tuple unpack per instruction instead of five column
-        reads plus kind dispatch. One linear pass, built whole-column
-        with numpy when available; ``Machine.__init__`` binds eagerly so
+        reads plus kind dispatch. ``Machine.__init__`` binds eagerly so
         timed runs never pay for it.
 
         ``addr_offset`` shifts every data address by a constant — SMT
         co-runs give each hardware thread a disjoint address space while
         sharing one memory hierarchy (see :mod:`repro.smt.machine`).
+
+        The table is a pure function of the trace, the offset and the
+        latency table, so it is built once and cached on
+        ``trace.derived`` next to the BPU range stream: machines and SMT
+        threads over the same trace share one table.
         """
         if trace is self._ops_trace and addr_offset == self._ops_offset:
             return
-        exec_latency = self._exec_latency
-        mem_col = trace.mem_addr
-        if addr_offset:
-            mem_col = [m + addr_offset for m in mem_col]
-        if _np is not None:
-            lat_table = _np.array(
-                [-1 if k == _LOAD_I else -2 if k == _STORE_I
-                 else exec_latency[k] for k in range(len(exec_latency))],
-                dtype=_np.int64)
-            lat = lat_table[_np.frombuffer(trace.kind, dtype=_np.uint8)]
-            regs = [
-                _np.where(col >= 0, col & 63, -1).tolist()
-                for col in (
-                    _np.frombuffer(trace.src1, dtype=_np.int8),
-                    _np.frombuffer(trace.src2, dtype=_np.int8),
-                    _np.frombuffer(trace.dst, dtype=_np.int8),
-                )
-            ]
-            self._ops = list(zip(lat.tolist(), regs[0], regs[1], regs[2],
-                                 mem_col))
-        else:
-            load, store = _LOAD_I, _STORE_I
-            self._ops = [
-                (-1 if k == load else -2 if k == store else exec_latency[k],
-                 (s1 & 63) if s1 >= 0 else -1,
-                 (s2 & 63) if s2 >= 0 else -1,
-                 (d & 63) if d >= 0 else -1,
-                 m)
-                for k, s1, s2, d, m in zip(trace.kind, trace.src1,
-                                           trace.src2, trace.dst,
-                                           mem_col)
-            ]
+        key = ("backend_ops", addr_offset, self._exec_latency)
+        ops = trace.derived.get(key)
+        if ops is None:
+            ops = trace.derived[key] = _fused_ops(trace, addr_offset,
+                                                  self._exec_latency)
+        self._ops = ops
         self._ops_trace = trace
         self._ops_offset = addr_offset
 
@@ -228,3 +206,37 @@ class Backend:
         self.loads = loads
         self.stores = stores
         return complete, commit
+
+
+def _fused_ops(trace, addr_offset: int, exec_latency: Tuple[int, ...],
+               ) -> List[Tuple[int, int, int, int, int]]:
+    """The :meth:`Backend.bind_trace` op table of ``trace``: one linear
+    pass, built whole-column with numpy when available."""
+    mem_col = trace.mem_addr
+    if addr_offset:
+        mem_col = [m + addr_offset for m in mem_col]
+    if _np is not None:
+        lat_table = _np.array(
+            [-1 if k == _LOAD_I else -2 if k == _STORE_I
+             else exec_latency[k] for k in range(len(exec_latency))],
+            dtype=_np.int64)
+        lat = lat_table[_np.frombuffer(trace.kind, dtype=_np.uint8)]
+        regs = [
+            _np.where(col >= 0, col & 63, -1).tolist()
+            for col in (
+                _np.frombuffer(trace.src1, dtype=_np.int8),
+                _np.frombuffer(trace.src2, dtype=_np.int8),
+                _np.frombuffer(trace.dst, dtype=_np.int8),
+            )
+        ]
+        return list(zip(lat.tolist(), regs[0], regs[1], regs[2], mem_col))
+    load, store = _LOAD_I, _STORE_I
+    return [
+        (-1 if k == load else -2 if k == store else exec_latency[k],
+         (s1 & 63) if s1 >= 0 else -1,
+         (s2 & 63) if s2 >= 0 else -1,
+         (d & 63) if d >= 0 else -1,
+         m)
+        for k, s1, s2, d, m in zip(trace.kind, trace.src1, trace.src2,
+                                   trace.dst, mem_col)
+    ]

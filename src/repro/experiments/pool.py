@@ -13,25 +13,30 @@ objects. :class:`SweepEngine` fixes both:
   result cache's ``estimates__s<scale>.json`` sidecar, with a
   footprint×config heuristic for never-seen pairs). No straggler group
   can serialise the tail of the fill.
-* **Shared-memory columnar traces** — the host decodes/generates each
-  workload trace once as an :class:`~repro.trace.arrays.ArrayTrace` and
-  publishes its serialised bytes into a
-  :mod:`multiprocessing.shared_memory` segment; workers attach the
-  columns zero-copy. One decode per host instead of one per worker, and
-  a per-worker memo (small LRU) makes repeat pairs of the same workload
-  free.
-* **Single-flight trace generation** — for a workload whose trace is not
-  on disk yet, only one "pioneer" pair is dispatched; its worker
-  generates and atomically persists the trace, and the workload's
-  remaining pairs unblock when it completes. Concurrent workers never
+* **Shared component traces** — the unit of sharing is the component
+  trace, not the pair's workload name: a solo pair simulates one trace
+  and an ``smt:A+B`` co-run pair two (:func:`component_workloads`). The
+  host decodes/generates each component once as an
+  :class:`~repro.trace.arrays.ArrayTrace` and publishes its serialised
+  bytes into a :mod:`multiprocessing.shared_memory` segment; workers
+  attach the columns zero-copy. A small LRU memo of component traces,
+  per worker and in the inline engine, makes repeat pairs over the same
+  trace free — including the BPU range stream and back-end op table
+  cached on ``trace.derived``, which every later machine or SMT thread
+  over that trace object reuses.
+* **Single-flight trace generation** — for a component whose trace is
+  not on disk yet, only one "pioneer" pair is dispatched; its worker
+  generates and atomically persists the trace, and the pairs waiting on
+  that component unblock when it completes. Concurrent workers never
   duplicate generation work, and deduplicated input pairs plus a
   worker-side cache re-check guarantee no pair is simulated twice.
 
 Results land in the same on-disk :class:`ResultCache` as the serial
 path, and simulation is deterministic, so parallel and serial fills are
 byte-identical (tests/experiments/test_run_all.py). Shared-memory
-segments are unlinked as soon as a workload's last pair completes, and
-unconditionally on the way out of :meth:`SweepEngine.run`.
+segments (and the inline memo's traces) are dropped as soon as the last
+pair needing a component completes, and unconditionally on the way out
+of :meth:`SweepEngine.run`.
 
 With ``persistent=True`` the engine instead keeps its warm state alive
 *across* :meth:`run` calls — the inline trace memo, the process pool and
@@ -40,7 +45,7 @@ a bounded LRU of published shared-memory segments all survive until
 :mod:`repro.service` daemon) answer many independent requests without
 re-paying pool spin-up or trace decode each time. Persistent engines
 assume a fixed ``REPRO_SCALE`` for their lifetime (worker trace memos
-are keyed by workload name only) and must be closed explicitly;
+are keyed by component name only) and must be closed explicitly;
 :class:`SweepEngine` is also a context manager for exactly that.
 
 With an observer attached (``obs=``, a :class:`repro.obs.RunObs`) the
@@ -66,15 +71,17 @@ import contextlib
 import heapq
 import logging
 import os
-from collections import OrderedDict
+import typing
+from collections import Counter, OrderedDict
 from time import perf_counter
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
 from ..stats.counters import SimResult
 from ..trace.arrays import ArrayTrace
-from ..trace.workloads import get_workload, is_smt_workload
-from .runner import ResultCache, _simulate, default_cache
+from ..trace.workloads import get_workload
+from .runner import (ResultCache, _simulate, component_workloads,
+                     default_cache)
 
 Pair = Tuple[str, str]
 #: progress(workload, config, done, todo_total) after each simulated pair.
@@ -82,7 +89,8 @@ ProgressFn = Callable[[str, str, int, int], None]
 
 _log = logging.getLogger(__name__)
 
-#: Traces memoised per worker process (and by the inline engine).
+#: Component traces memoised per worker process (and by the inline
+#: engine); a co-run pair with more components keeps all of its own.
 TRACE_MEMO_LIMIT = 4
 
 #: Shared-memory trace segments a persistent engine keeps warm (LRU).
@@ -98,6 +106,54 @@ _CONFIG_WEIGHTS = (
     ("ubs", 1.5),
     ("conv", 1.0),
 )
+
+
+def trace_names(workload: str) -> Tuple[str, ...]:
+    """Names of the component traces a pair of ``workload`` simulates,
+    in thread order."""
+    return tuple(w.name for w in component_workloads(get_workload(workload)))
+
+
+#: An LRU memo of component traces: name -> (trace, shared-memory segment
+#: the trace borrows its columns from, or None).
+TraceMemo = typing.OrderedDict[str, Tuple[ArrayTrace, Optional[object]]]
+
+
+def _memo_traces(memo: TraceMemo, names: Sequence[str],
+                 load: Callable[[str], Tuple[ArrayTrace, Optional[object]]],
+                 ) -> List[ArrayTrace]:
+    """One pair's component traces from ``memo``, loading misses with
+    ``load``. Evicts least-recently-used entries past
+    :data:`TRACE_MEMO_LIMIT`, never the pair's own."""
+    traces = []
+    for name in names:
+        entry = memo.get(name)
+        if entry is None:
+            entry = memo[name] = load(name)
+        else:
+            memo.move_to_end(name)
+        traces.append(entry[0])
+    while len(memo) > max(TRACE_MEMO_LIMIT, len(names)):
+        _drop_trace(memo, next(iter(memo)))
+    return traces
+
+
+def _drop_trace(memo: TraceMemo, name: str) -> None:
+    """Forget a memoised trace, closing the segment it borrows from."""
+    trace, shm = memo.pop(name)
+    trace.release()
+    if shm is not None:
+        shm.close()
+
+
+def _component_demand(todo: Sequence[Pair],
+                      ) -> Tuple[Dict[str, Tuple[str, ...]], Counter]:
+    """Each todo workload's component trace names, and how many todo
+    pairs need each component."""
+    needs = {workload: trace_names(workload) for workload, _config in todo}
+    remaining = Counter(name for workload, _config in todo
+                        for name in set(needs[workload]))
+    return needs, remaining
 
 
 def estimate_key(workload: str, config: str) -> str:
@@ -121,8 +177,7 @@ def expected_cost(pair: Pair, estimates: Dict[str, float]) -> float:
 # -- worker side --------------------------------------------------------------
 
 _worker_caches: Dict[str, ResultCache] = {}
-_worker_traces: "OrderedDict[str, Tuple[ArrayTrace, Optional[object]]]" = \
-    OrderedDict()
+_worker_traces: TraceMemo = OrderedDict()
 _worker_heartbeats: Dict[str, object] = {}
 
 
@@ -143,49 +198,38 @@ def _worker_cache(root: str) -> ResultCache:
     return cache
 
 
-def _worker_trace(cache: ResultCache, workload: str,
-                  shm_name: Optional[str]) -> ArrayTrace:
-    """This worker's columnar trace for ``workload``: memoised, attached
-    zero-copy from shared memory when the host published it, otherwise
+def _worker_load(cache: ResultCache, name: str, shm_name: Optional[str],
+                 ) -> Tuple[ArrayTrace, Optional[object]]:
+    """One component trace for this worker's memo: attached zero-copy
+    from shared memory when the host published it, otherwise
     loaded/generated through the disk cache."""
-    memo = _worker_traces
-    hit = memo.get(workload)
-    if hit is not None:
-        memo.move_to_end(workload)
-        return hit[0]
-    shm = None
-    if shm_name is not None:
-        from multiprocessing import resource_tracker, shared_memory
+    if shm_name is None:
+        return cache.array_trace_for(get_workload(name)), None
+    from multiprocessing import resource_tracker, shared_memory
 
-        # Attach without registering: on Python < 3.13 attaching also
-        # registers the segment with the resource tracker (there is no
-        # ``track=False`` yet), and that late REGISTER races with the
-        # host's unlink-time UNREGISTER, producing spurious "leaked
-        # shared_memory objects" warnings at shutdown. The host owns the
-        # segment's lifecycle; workers must not track it.
-        real_register = resource_tracker.register
-        resource_tracker.register = lambda *a, **k: None
-        try:
-            shm = shared_memory.SharedMemory(name=shm_name)
-        finally:
-            resource_tracker.register = real_register
-        trace = ArrayTrace.from_shared_memory(shm)
-    else:
-        trace = cache.array_trace_for(get_workload(workload))
-    memo[workload] = (trace, shm)
-    while len(memo) > TRACE_MEMO_LIMIT:
-        _name, (old_trace, old_shm) = memo.popitem(last=False)
-        old_trace.release()
-        if old_shm is not None:
-            old_shm.close()
-    return trace
+    # Attach without registering: on Python < 3.13 attaching also
+    # registers the segment with the resource tracker (there is no
+    # ``track=False`` yet), and that late REGISTER races with the
+    # host's unlink-time UNREGISTER, producing spurious "leaked
+    # shared_memory objects" warnings at shutdown. The host owns the
+    # segment's lifecycle; workers must not track it.
+    real_register = resource_tracker.register
+    resource_tracker.register = lambda *a, **k: None
+    try:
+        shm = shared_memory.SharedMemory(name=shm_name)
+    finally:
+        resource_tracker.register = real_register
+    return ArrayTrace.from_shared_memory(shm), shm
 
 
-def _worker_run_pair(workload: str, config: str, shm_name: Optional[str],
+def _worker_run_pair(workload: str, config: str, shm_names: Dict[str, str],
                      cache_root: str,
                      obs_carrier: Optional[Dict[str, str]] = None,
                      ) -> Tuple[str, str, dict, Dict[str, int]]:
     """Pool entry point: simulate one pair into the shared disk cache.
+
+    ``shm_names`` maps the pair's published component traces to their
+    shared-memory segments; the rest load through the disk cache.
 
     With an ``obs_carrier`` (see :meth:`repro.obs.Tracer.carrier`) the
     worker joins the host's trace: it emits one ``pair`` span parented to
@@ -211,14 +255,10 @@ def _worker_run_pair(workload: str, config: str, shm_name: Optional[str],
         # stays out of the counters.
         result = cache.load(workload, config, count=False)
         if result is None:
-            if is_smt_workload(workload):
-                # Co-run pairs have no single trace to fan out; the SMT
-                # runner pulls each component through the disk cache.
-                result = _simulate(get_workload(workload), config,
-                                   cache=cache)
-            else:
-                trace = _worker_trace(cache, workload, shm_name)
-                result = _simulate(get_workload(workload), config, trace)
+            traces = _memo_traces(
+                _worker_traces, trace_names(workload),
+                lambda name: _worker_load(cache, name, shm_names.get(name)))
+            result = _simulate(get_workload(workload), config, traces)
             cache.store(result)
         return result
 
@@ -258,10 +298,10 @@ class SweepEngine:
         self.fill_seconds = 0.0
         self.pairs_simulated = 0
         # Warm state a persistent engine carries between run() calls.
-        self._memo: "OrderedDict[str, ArrayTrace]" = OrderedDict()
+        self._memo: TraceMemo = OrderedDict()
         self._pool = None                              # ProcessPoolExecutor
         self._published: "OrderedDict[str, object]" = \
-            OrderedDict()                              # workload -> SharedMemory
+            OrderedDict()                       # component -> SharedMemory
 
     def __enter__(self) -> "SweepEngine":
         return self
@@ -284,9 +324,8 @@ class SweepEngine:
                 shm.unlink()
             except OSError:       # pragma: no cover - defensive
                 _log.warning("failed to unlink trace segment %s", _name)
-        for trace in self._memo.values():
-            trace.release()
-        self._memo.clear()
+        while self._memo:
+            _drop_trace(self._memo, next(iter(self._memo)))
 
     @property
     def pairs_per_min(self) -> float:
@@ -348,27 +387,27 @@ class SweepEngine:
         cache = self.cache
         obs = self.obs
         # A persistent engine's memo survives this run, so repeat
-        # requests for the same workload skip the decode entirely.
+        # requests for the same trace skip the decode entirely; a
+        # throwaway memo drops each trace after the last pair needing it.
         memo = self._memo if self.persistent else OrderedDict()
+        needs, remaining = _component_demand(todo)
+
+        def load(name: str) -> Tuple[ArrayTrace, None]:
+            return cache.array_trace_for(get_workload(name)), None
+
         done = 0
         for workload, config in todo:
             if obs is not None:
                 obs.pair_started(workload, config)
-            trace = None
-            if not is_smt_workload(workload):
-                # Co-run pairs skip the memo: their component traces load
-                # through the disk cache inside the SMT runner.
-                trace = memo.get(workload)
-                if trace is None:
-                    trace = cache.array_trace_for(get_workload(workload))
-                    memo[workload] = trace
-                    while len(memo) > TRACE_MEMO_LIMIT:
-                        memo.popitem(last=False)
-                else:
-                    memo.move_to_end(workload)
-            result = _simulate(get_workload(workload), config, trace,
+            traces = _memo_traces(memo, needs[workload], load)
+            result = _simulate(get_workload(workload), config, traces,
                                cache=cache)
             cache.store(result)
+            if not self.persistent:
+                for name in set(needs[workload]):
+                    remaining[name] -= 1
+                    if remaining[name] == 0 and name in memo:
+                        _drop_trace(memo, name)
             self._note_done(results, estimates, workload, config, result)
             done += 1
             if obs is not None:
@@ -386,46 +425,57 @@ class SweepEngine:
 
         cache = self.cache
         cache_root = str(cache.root)
-        remaining: Dict[str, int] = {}
-        for workload, _config in todo:
-            remaining[workload] = remaining.get(workload, 0) + 1
+        needs, remaining = _component_demand(todo)
 
         # Ready heap (longest first; `todo` is already sorted so the index
-        # is the tiebreak) and pairs blocked behind a pioneer generation.
+        # is the tiebreak) and pairs blocked behind the pioneer pair that
+        # generates one of their component traces.
         ready: List[Tuple[int, str, str]] = []
-        blocked: Dict[str, List[Pair]] = {}
-        pioneered = set()
-        for index, (workload, config) in enumerate(todo):
-            if cache.trace_exists(workload) or workload not in pioneered:
-                pioneered.add(workload)
-                heapq.heappush(ready, (index, workload, config))
-            else:
-                blocked.setdefault(workload, []).append((workload, config))
+        blocked: Dict[str, List[Tuple[int, Pair]]] = {}
+        pioneers: Dict[str, Pair] = {}
 
-        # Per-run segments are unlinked at each workload's last pair; a
+        def schedule(index: int, pair: Pair) -> None:
+            names = needs[pair[0]]
+            for name in names:
+                if name in pioneers:
+                    blocked.setdefault(name, []).append((index, pair))
+                    return
+            for name in names:
+                if not cache.trace_exists(name):
+                    pioneers[name] = pair
+            heapq.heappush(ready, (index,) + pair)
+
+        for index, pair in enumerate(todo):
+            schedule(index, pair)
+
+        # Per-run segments are unlinked at each component's last pair; a
         # persistent engine instead keeps a bounded LRU of segments warm
         # across runs (unlinked only on eviction or close()).
         published = self._published if self.persistent else OrderedDict()
 
-        def publish(workload: str) -> Optional[str]:
-            """Shared-memory name for a workload's trace, creating the
-            segment when ≥2 of its pairs still need it."""
-            shm = published.get(workload)
-            if shm is not None:
-                published.move_to_end(workload)
-                return shm.name
-            if remaining[workload] < 2 or not cache.trace_exists(workload):
-                return None          # pioneer run, or not worth a segment
-            trace = cache.array_trace_for(get_workload(workload))
-            shm = trace.to_shared_memory()
-            trace.release()
-            published[workload] = shm
-            while self.persistent and len(published) > PERSIST_SHM_LIMIT:
+        def publish(names: Sequence[str]) -> Dict[str, str]:
+            """Shared-memory names for a pair's component traces,
+            creating a segment for each component that ≥2 of the
+            remaining pairs need and that is on disk."""
+            shm_names = {}
+            for name in names:
+                shm = published.get(name)
+                if shm is not None:
+                    published.move_to_end(name)
+                elif remaining[name] >= 2 and cache.trace_exists(name):
+                    trace = cache.array_trace_for(get_workload(name))
+                    shm = published[name] = trace.to_shared_memory()
+                    trace.release()
+                else:
+                    continue     # pioneer run, or not worth a segment
+                shm_names[name] = shm.name
+            while self.persistent and \
+                    len(published) > max(PERSIST_SHM_LIMIT, len(names)):
                 unpublish(next(iter(published)))
-            return shm.name
+            return shm_names
 
-        def unpublish(workload: str) -> None:
-            shm = published.pop(workload, None)
+        def unpublish(name: str) -> None:
+            shm = published.pop(name, None)
             if shm is not None:
                 shm.close()
                 shm.unlink()
@@ -445,29 +495,30 @@ class SweepEngine:
                 while ready and len(inflight) < self.jobs:
                     _idx, workload, config = heapq.heappop(ready)
                     future = pool.submit(_worker_run_pair, workload,
-                                         config, publish(workload),
+                                         config, publish(needs[workload]),
                                          cache_root, carrier)
                     inflight[future] = (workload, config)
                     if obs is not None:
                         obs.pair_started(workload, config)
                 completed, _ = wait(inflight, return_when=FIRST_COMPLETED)
                 for future in completed:
-                    workload, config = inflight.pop(future)
+                    pair = inflight.pop(future)
+                    workload, config = pair
                     _w, _c, payload, delta = future.result()
                     for key, count in delta.items():
                         cache.counters[key] += count
                     result = SimResult.from_dict(payload)
                     self._note_done(results, estimates, workload, config,
                                     result)
-                    remaining[workload] -= 1
-                    if remaining[workload] == 0 and not self.persistent:
-                        unpublish(workload)
-                    waiters = blocked.pop(workload, None)
-                    if waiters:      # pioneer done: trace is on disk now
-                        base = len(todo)
-                        for offset, pair in enumerate(waiters):
-                            heapq.heappush(ready,
-                                           (base + offset,) + pair)
+                    for name in set(needs[workload]):
+                        remaining[name] -= 1
+                        if remaining[name] == 0 and not self.persistent:
+                            unpublish(name)
+                        if pioneers.get(name) == pair:
+                            # Pioneer done: the trace is on disk now.
+                            del pioneers[name]
+                            for waiter in blocked.pop(name, ()):
+                                schedule(*waiter)
                     done += 1
                     if obs is not None:
                         obs.pair_done(workload, config, result)
@@ -476,12 +527,12 @@ class SweepEngine:
         finally:
             if not self.persistent:
                 pool.shutdown(wait=True)
-                for workload in list(published):
+                for name in list(published):
                     try:
-                        unpublish(workload)
+                        unpublish(name)
                     except OSError:   # pragma: no cover - defensive
                         _log.warning("failed to unlink trace segment for %s",
-                                     workload)
+                                     name)
 
     @staticmethod
     def _note_done(results, estimates, workload, config,

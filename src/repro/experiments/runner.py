@@ -24,14 +24,13 @@ import re
 import tempfile
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..cpu.machine import build_machine
 from ..memory.icache import ConventionalICache
 from ..stats.counters import SimResult
 from ..trace.arrays import ArrayTrace
 from ..trace.io import read_trace, write_trace
-from ..trace.record import Instruction
 from ..trace.workloads import (SMTWorkload, Workload, get_workload,
                                is_smt_workload, scale_factor)
 
@@ -287,18 +286,22 @@ def _stamp_throughput(result: SimResult, wall: float) -> None:
             result.instructions / wall)
 
 
+def component_workloads(workload: Workload) -> List[Workload]:
+    """The workloads whose traces one pair of ``workload`` simulates:
+    its own, or one per hardware thread of an ``smt:`` co-run."""
+    if isinstance(workload, SMTWorkload):
+        return workload.component_workloads()
+    return [workload]
+
+
 def _simulate_smt(workload: SMTWorkload, config: str,
-                  cache: Optional[ResultCache] = None) -> SimResult:
-    """Simulate an ``smt:`` co-run pair: component traces load through
-    the ordinary trace cache, each becomes one hardware thread of an
-    :class:`repro.smt.SMTMachine`, and the composite result carries each
-    thread's own :class:`SimResult` under ``extra["threads"]``."""
+                  traces: Sequence[ArrayTrace]) -> SimResult:
+    """Simulate an ``smt:`` co-run pair: each component trace becomes
+    one hardware thread of an :class:`repro.smt.SMTMachine`, and the
+    composite result carries each thread's own :class:`SimResult` under
+    ``extra["threads"]``."""
     from ..smt import build_smt_machine, run_corun
 
-    if cache is None:
-        cache = default_cache()
-    traces = [cache.array_trace_for(w)
-              for w in workload.component_workloads()]
     machine = build_smt_machine(traces, config, policy=workload.policy)
     t0 = perf_counter()
     result = run_corun(machine, workload, config)
@@ -307,12 +310,18 @@ def _simulate_smt(workload: SMTWorkload, config: str,
 
 
 def _simulate(workload: Workload, config: str,
-              trace: Optional[Sequence[Instruction]] = None,
+              traces: Optional[Sequence[ArrayTrace]] = None,
               cache: Optional[ResultCache] = None) -> SimResult:
+    """Simulate one pair on its component ``traces`` (in
+    :func:`component_workloads` order), loaded through ``cache`` (default:
+    :func:`default_cache`) when not given."""
+    if traces is None:
+        cache = cache if cache is not None else default_cache()
+        traces = [cache.array_trace_for(w)
+                  for w in component_workloads(workload)]
     if isinstance(workload, SMTWorkload):
-        return _simulate_smt(workload, config, cache)
-    if trace is None:
-        trace = default_cache().array_trace_for(workload)
+        return _simulate_smt(workload, config, traces)
+    trace, = traces
     warmup, measure = workload.windows()
     machine = build_machine(trace, config)
     icache = machine.icache
@@ -336,13 +345,14 @@ def _simulate(workload: Workload, config: str,
 
 
 def run_pair(workload_name: str, config: str,
-             trace: Optional[Sequence[Instruction]] = None) -> SimResult:
-    """Cached simulation of one (workload, config) pair."""
+             traces: Optional[Sequence[ArrayTrace]] = None) -> SimResult:
+    """Cached simulation of one (workload, config) pair, optionally on
+    its already-loaded component ``traces`` (see :func:`_simulate`)."""
     cache = default_cache()
     hit = cache.load(workload_name, config)
     if hit is not None:
         return hit
-    result = _simulate(get_workload(workload_name), config, trace)
+    result = _simulate(get_workload(workload_name), config, traces)
     cache.store(result)
     return result
 

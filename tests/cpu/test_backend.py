@@ -96,3 +96,31 @@ class TestROB:
         deliver(be, [Instruction(0, 4, InstrKind.LOAD, mem_addr=64),
                      Instruction(4, 4, InstrKind.STORE, mem_addr=64)])
         assert be.loads == 1 and be.stores == 1
+
+
+class TestOpTable:
+    def _trace(self):
+        return ArrayTrace.from_instructions(
+            [alu(pc=0, dst=1),
+             Instruction(4, 4, InstrKind.LOAD, mem_addr=0x40, src1=1, dst=2),
+             Instruction(8, 4, InstrKind.STORE, mem_addr=0x80, src1=2)])
+
+    def test_backends_on_one_trace_share_one_table(self):
+        trace = self._trace()
+        first, second = make_backend(), make_backend()
+        first.bind_trace(trace)
+        second.bind_trace(trace)
+        assert first._ops is second._ops
+        assert first._ops == [(1, -1, -1, 1, 0), (-1, 1, -1, 2, 0x40),
+                              (-2, 2, -1, -1, 0x80)]
+
+    def test_address_offset_gets_its_own_table(self):
+        trace = self._trace()
+        plain, shifted = make_backend(), make_backend()
+        plain.bind_trace(trace)
+        shifted.bind_trace(trace, 1 << 40)
+        assert shifted._ops is not plain._ops
+        assert [op[4] for op in shifted._ops] == \
+            [m + (1 << 40) for m in (0, 0x40, 0x80)]
+        assert [op[:4] for op in shifted._ops] == \
+            [op[:4] for op in plain._ops]

@@ -240,3 +240,93 @@ class TestPersistent:
             # Same ArrayTrace objects: nothing was re-decoded.
             assert {w: id(t) for w, t in engine._memo.items()} == \
                 traces_before
+
+
+CORUN = "smt:server_000+client_000"
+CORUN_PAIRS = [(w, c) for w in (CORUN, CORUN + "@icount")
+               for c in ("conv32", "ubs")]
+
+
+class _EventObs:
+    """Records the engine's dispatch (``pair_started``) and completion
+    (``pair_done``) order."""
+
+    def __init__(self):
+        self.events = []
+
+    def sweep_started(self, *args):
+        pass
+
+    def sweep_finished(self, engine):
+        pass
+
+    def worker_carrier(self):
+        return None
+
+    def pair_started(self, workload, config):
+        self.events.append(("start", workload, config))
+
+    def pair_done(self, workload, config, result):
+        self.events.append(("done", workload, config))
+
+
+def _prepare(cache, *names):
+    from repro.trace.workloads import get_workload
+    for name in names:
+        cache.array_trace_for(get_workload(name))
+
+
+class TestComponentTraces:
+    """Co-run pairs share the component-trace memo with solo pairs."""
+
+    def test_inline_corun_reads_and_walks_each_trace_once(
+            self, tmp_path, monkeypatch):
+        import repro.frontend.ftq as ftq
+        cache = ResultCache(tmp_path / "memo")
+        _prepare(cache, "server_000", "client_000")
+        walks, reads = [], []
+        walk, read = ftq.precompute_range_stream, runner_mod.read_trace
+        monkeypatch.setattr(ftq, "precompute_range_stream",
+                            lambda *a: walks.append(1) or walk(*a))
+        monkeypatch.setattr(runner_mod, "read_trace",
+                            lambda *a: reads.append(1) or read(*a))
+        out = SweepEngine(jobs=1, cache=cache).run(CORUN_PAIRS)
+        assert set(out) == set(CORUN_PAIRS)
+        assert len(walks) == 2
+        assert len(reads) == 2
+
+    def test_corun_pairs_dispatch_together_when_traces_exist(self, tmp_path):
+        """With both component traces on disk no pioneer is needed: two
+        pairs of one co-run name are both in flight before either
+        completes."""
+        cache = ResultCache(tmp_path / "ready")
+        _prepare(cache, "server_000", "client_000")
+        obs = _EventObs()
+        SweepEngine(jobs=2, cache=cache, obs=obs).run(CORUN_PAIRS[:2])
+        assert [e[0] for e in obs.events] == ["start", "start",
+                                              "done", "done"]
+
+    def test_shared_component_generated_by_one_pioneer(self, tmp_path,
+                                                        monkeypatch):
+        """Two co-run names sharing a missing component: the second
+        waits for the first to generate it rather than synthesising it
+        a second time."""
+        cache = ResultCache(tmp_path / "cold")
+        _prepare(cache, "client_000", "spec_000")
+        obs = _EventObs()
+        pairs = [("smt:server_000+client_000", "conv32"),
+                 ("smt:server_000+spec_000", "conv32")]
+        SweepEngine(jobs=2, cache=cache, obs=obs).run(pairs)
+        assert [e[0] for e in obs.events] == ["start", "done",
+                                              "start", "done"]
+
+    def test_corun_pool_fill_matches_inline(self, tmp_path):
+        before = _shm_entries()
+        serial = _engine(tmp_path, "serial", jobs=1)
+        parallel = _engine(tmp_path, "parallel", jobs=2)
+        pairs = CORUN_PAIRS + PAIRS[:2]
+        serial.run(pairs)
+        parallel.run(pairs)
+        assert _masked_results(serial.cache) == \
+            _masked_results(parallel.cache)
+        assert _shm_entries() == before

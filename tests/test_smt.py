@@ -110,6 +110,23 @@ class TestCoRunBasics:
             assert tdict["efficiency"] is None
 
 
+    def test_threads_share_derived_state_by_address_space(self):
+        """A trace's BPU range stream is shared by every machine over it;
+        its back-end op table only by those with the same address
+        offset, so thread 1 gets its own entry."""
+        trace = _loop(50)
+        solo = Machine(trace, build_icache("conv32"))
+        smt = build_smt_machine([trace, trace], "ubs")
+        t0, t1 = smt.threads
+        assert t0.builder._stream is t1.builder._stream \
+            is solo.builder._stream
+        assert t0.backend._ops is solo.backend._ops
+        assert t1.backend._ops is not t0.backend._ops
+        assert t1.addr_offset == THREAD_ADDR_STRIDE
+        assert sorted(k[1] for k in trace.derived
+                      if k[0] == "backend_ops") == [0, THREAD_ADDR_STRIDE]
+
+
 class TestFetchArbitration:
 
     def test_one_trace_exhausts_first(self):
