@@ -112,6 +112,9 @@ def ubs_params_for_budget(budget: int,
     power-of-two set count with a proportionally trimmed way list.
     """
     per_set = base.data_bytes_per_set
+    if budget < per_set:
+        raise ConfigurationError(
+            f"UBS budget {budget} B is below one set's {per_set} B of data")
     exact_sets = budget / per_set
     sets = 1
     while sets * 2 <= exact_sets:

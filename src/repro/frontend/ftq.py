@@ -1,4 +1,4 @@
-"""Fetch Target Queue and the BPU-run-ahead range builder.
+"""Fetch ranges and the BPU-run-ahead range builder.
 
 A :class:`FetchRange` is the unit the decoupled front-end works with: a
 contiguous byte span *within one 64-byte block*, the trace instructions
@@ -10,14 +10,14 @@ Section IV-A — and FDIP prefetches the blocks they touch.
 Ranges are built by :class:`RangeBuilder`, which advances the BPU along
 the trace: a range ends at a predicted-taken branch, a 64-byte boundary,
 or a resteer-causing branch (after which run-ahead stops until the machine
-resumes it).
+resumes it). The FTQ itself is a plain deque per hardware thread
+(:class:`repro.cpu.thread.ThreadFrontEnd`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..trace.arrays import ArrayTrace
@@ -253,6 +253,11 @@ class ReplayRangeBuilder:
     def exhausted(self) -> bool:
         return self._pos >= self._n
 
+    @property
+    def last_built(self) -> Optional[FetchRange]:
+        """The range most recently emitted, if any."""
+        return self._stream[self._pos - 1][0] if self._pos else None
+
     def resume(self) -> None:
         self.blocked = False
 
@@ -296,46 +301,3 @@ def replay_range_stream(trace: ArrayTrace, bpu: BranchPredictionUnit,
         derived[ckey] = segs
     return ReplayRangeBuilder(stream, bpu), segs
 
-
-class FetchTargetQueue:
-    """Bounded FIFO of fetch ranges between the BPU and the fetch engine."""
-
-    __slots__ = ("capacity", "_queue")
-
-    def __init__(self, capacity: int = 128) -> None:
-        self.capacity = capacity
-        self._queue: Deque[FetchRange] = deque()
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def __iter__(self):
-        return iter(self._queue)
-
-    @property
-    def full(self) -> bool:
-        return len(self._queue) >= self.capacity
-
-    @property
-    def empty(self) -> bool:
-        return not self._queue
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._queue)
-
-    def register_metrics(self, registry, prefix: str = "ftq") -> None:
-        """Register occupancy/capacity gauges under ``prefix``."""
-        registry.gauge(f"{prefix}.occupancy", lambda: len(self._queue))
-        registry.gauge(f"{prefix}.capacity", lambda: self.capacity)
-
-    def push(self, fetch_range: FetchRange) -> None:
-        if self.full:
-            raise SimulationError("FTQ overflow")
-        self._queue.append(fetch_range)
-
-    def head(self) -> Optional[FetchRange]:
-        return self._queue[0] if self._queue else None
-
-    def pop(self) -> FetchRange:
-        return self._queue.popleft()

@@ -184,6 +184,9 @@ class UBSParams:
             )
         if self.candidate_window < 1:
             raise ConfigurationError("candidate window must be at least 1")
+        if self.run_merge_gap < 0:
+            raise ConfigurationError(
+                f"UBS run merge gap must be non-negative: {self.run_merge_gap}")
         if self.replacement not in ("lru", "ghrp"):
             raise ConfigurationError(
                 f"UBS replacement must be lru or ghrp, got {self.replacement!r}"

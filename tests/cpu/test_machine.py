@@ -8,6 +8,7 @@ from repro.errors import ConfigurationError
 from repro.memory.distillation import DistillationICache
 from repro.memory.icache import ConventionalICache
 from repro.memory.small_block import SmallBlockICache
+from repro.params import UBSParams
 from repro.smt import SMTMachine
 from repro.trace.record import Instruction, InstrKind
 from repro.trace.synthesis import generate_trace
@@ -187,3 +188,15 @@ class TestBuildICache:
     def test_malformed_numeric_field_is_typed(self, config):
         with pytest.raises(ConfigurationError, match=repr(config)):
             build_icache(config)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_icache("ubs_gap-1"),
+        lambda: build_icache("ubs_budget0"),
+        lambda: UBSParams(run_merge_gap=-1),
+    ], ids=["ubs_gap-1", "ubs_budget0", "UBSParams(run_merge_gap=-1)"])
+    def test_out_of_range_field_is_rejected(self, build):
+        """A negative merge gap (runs that touch would stop coalescing)
+        and a budget below one set's data bytes name caches they do not
+        build."""
+        with pytest.raises(ConfigurationError):
+            build()

@@ -17,6 +17,7 @@ together with a ``RESULTS_VERSION`` bump) with::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -24,18 +25,23 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cpu.machine import Machine, build_icache
+from repro.cpu.machine import Machine, build_icache, build_machine
 from repro.errors import ConfigurationError
+from repro.smt import build_smt_machine, run_corun
+from repro.telemetry import EventTrace, Telemetry, write_jsonl
 from repro.trace.arrays import ArrayTrace
 from repro.trace.record import Instruction, InstrKind
-from repro.trace.workloads import get_workload
+from repro.trace.workloads import SMTWorkload, get_workload
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "parity"
+TELEMETRY_DIR = Path(__file__).parent / "golden" / "telemetry"
 
 #: The pinned scale every golden was recorded at.
 GOLDEN_SCALE = "0.05"
 
-#: One workload per family x the two headline configurations.
+#: One workload per family x the two headline configurations, plus the
+#: small-block and Line Distillation L1-I classes and a UBS run at FTQ
+#: depth 8 (``_f8``, which keeps the BPU stopping on a full FTQ).
 GOLDEN_PAIRS = [
     ("server_000", "conv32"),
     ("server_000", "ubs"),
@@ -45,6 +51,9 @@ GOLDEN_PAIRS = [
     ("spec_000", "ubs"),
     ("google_000", "conv32"),
     ("google_000", "ubs"),
+    ("server_000", "small16"),
+    ("server_000", "distill32"),
+    ("server_000", "ubs_f8"),
 ]
 
 
@@ -58,7 +67,7 @@ def _simulate(workload: str, config: str, columnar: bool = False) -> dict:
     if columnar:
         trace = ArrayTrace.from_instructions(trace)
     warmup, measure = wl.windows()
-    machine = Machine(trace, build_icache(config))
+    machine = build_machine(trace, config)
     result = machine.run(warmup, measure)
     result.workload = workload
     result.config = config
@@ -160,12 +169,12 @@ class TestEdgeTraces:
 
 
 #: SMT co-runs pinned the same way: both arbitration policies x the two
-#: headline configurations.
+#: headline configurations and the small-block and distillation caches.
 CORUN_PAIRS = [
     (workload, config)
     for workload in ("smt:server_000+client_000",
                      "smt:server_000+client_000@icount")
-    for config in ("conv32", "ubs")
+    for config in ("conv32", "ubs", "small16", "distill32")
 ]
 
 
@@ -206,3 +215,55 @@ def test_columnar_trace_bit_identical_to_golden(workload, config):
         f"{workload}/{config} simulation of an ArrayTrace input drifted "
         "from the golden — the two trace input forms no longer agree"
     )
+
+
+#: Solo and co-run runs whose full event stream and metrics registry are
+#: pinned: every event (hits included) in emission order, and every
+#: gauge the machine registers, read after the run.
+TELEMETRY_PAIRS = [
+    (workload, config)
+    for workload in ("server_000", "smt:server_000+client_000@icount")
+    for config in ("conv32", "ubs")
+]
+
+
+def _traced(workload: str, config: str, path: Path) -> dict:
+    recorder = EventTrace(record_hits=True)
+    telemetry = Telemetry(recorder)
+    wl = get_workload(workload)
+    if isinstance(wl, SMTWorkload):
+        machine = build_smt_machine(
+            [w.generate() for w in wl.component_workloads()], config,
+            telemetry=telemetry, policy=wl.policy)
+        run_corun(machine, wl, config)
+    else:
+        machine = build_machine(wl.generate(), config, telemetry=telemetry)
+        machine.run(*wl.windows())
+    n_events = write_jsonl(recorder.events, path)
+    return {
+        "events": n_events,
+        "events_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "metrics": machine.metrics.snapshot(),
+    }
+
+
+@pytest.mark.parametrize("workload,config", TELEMETRY_PAIRS)
+def test_event_stream_and_metrics_golden(workload, config, tmp_path):
+    """The JSONL export of an ``EventTrace(record_hits=True)`` run is
+    byte-identical to its golden (compared by sha256), and so is the
+    machine's metrics snapshot."""
+    name = f"{workload.replace(':', '_')}__{config}__s{GOLDEN_SCALE}.json"
+    path = TELEMETRY_DIR / name
+    produced = _traced(workload, config, tmp_path / "events.jsonl")
+    if os.environ.get("REPRO_UPDATE_GOLDENS"):
+        TELEMETRY_DIR.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(produced, indent=1, sort_keys=True) + "\n")
+        pytest.skip(f"golden updated: {path.name}")
+    assert path.exists(), (
+        f"missing golden {path.name}; run with REPRO_UPDATE_GOLDENS=1"
+    )
+    golden = json.loads(path.read_text())
+    assert produced["events"] == golden["events"]
+    assert produced["events_sha256"] == golden["events_sha256"], (
+        f"{workload}/{config}: the event stream drifted from its golden")
+    assert produced["metrics"] == golden["metrics"]

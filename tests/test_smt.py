@@ -119,8 +119,8 @@ class TestCoRunBasics:
         smt = build_smt_machine([trace, trace], "ubs")
         t0, t1 = smt.threads
         assert t0.builder._stream is t1.builder._stream \
-            is solo.builder._stream
-        assert t0.backend._ops is solo.backend._ops
+            is solo.thread.builder._stream
+        assert t0.backend._ops is solo.thread.backend._ops
         assert t1.backend._ops is not t0.backend._ops
         assert t1.addr_offset == THREAD_ADDR_STRIDE
         assert sorted(k[1] for k in trace.derived
@@ -142,7 +142,7 @@ class TestFetchArbitration:
             assert t.finished
             assert t.delivered == t.total
         # All pooled-FTQ claims were returned when the threads retired.
-        assert machine._ftq_occ == 0
+        assert machine.metrics.snapshot()["ftq.occupancy"] == 0
         # The long thread dominates the co-run span.
         assert result.cycles == threads[1]["cycles"]
 
